@@ -1,4 +1,5 @@
-"""Exact rational phases, Chebyshev trace polynomials, and mod-2 linear algebra.
+"""Exact rational phases, Chebyshev trace polynomials, mod-2 linear algebra,
+and the central representations it enumerates.
 
 Everything downstream leans on two facts: twists and Chern-Simons values are
 roots of unity carried exactly as elements of Q/Z, while matrix entries are
@@ -209,6 +210,47 @@ def mod2_span(basis: list[np.ndarray], width: int | None = None) -> list[np.ndar
             if mask >> i & 1:
                 v ^= b
         out.append(v)
+    return out
+
+
+@dataclass(frozen=True)
+class CentralRep:
+    """A homomorphism to the center, recorded as F_2 exponents on the
+    generators, with the permutation it induces on the character list and
+    the exact per-label Chern-Simons differences cs[perm[i]] - cs[i]."""
+
+    sigma: tuple[int, ...]
+    permutation: tuple[int, ...]
+    cs_diffs: tuple[RationalPhase, ...]
+
+    @property
+    def is_trivial(self) -> bool:
+        return not any(self.sigma)
+
+    @property
+    def is_bosonic(self) -> bool:
+        return all(d == PHASE_ZERO for d in self.cs_diffs)
+
+    @property
+    def is_fermionic(self) -> bool:
+        return not self.is_bosonic and all(d in (PHASE_ZERO, PHASE_HALF) for d in self.cs_diffs)
+
+
+def central_reps_mod2(relations, cs_values, permute) -> list[CentralRep]:
+    """One CentralRep per F_2 solution sigma of the abelianized relations,
+    trivial first.  permute(sigma) gives the induced label permutation; it is
+    not called for the trivial representation, which acts as the identity."""
+    L = len(cs_values)
+    width = np.asarray(relations).shape[1]
+    out = []
+    for v in mod2_span(mod2_kernel(relations), width=width):
+        sigma = tuple(int(x) for x in v)
+        if not any(sigma):
+            out.append(CentralRep(sigma, tuple(range(L)), (PHASE_ZERO,) * L))
+            continue
+        perm = tuple(permute(sigma))
+        diffs = tuple(cs_values[perm[i]] - cs_values[i] for i in range(L))
+        out.append(CentralRep(sigma, perm, diffs))
     return out
 
 

@@ -105,7 +105,7 @@ def _json_default(obj):
     raise TypeError(f"not JSON serializable: {type(obj)}")
 
 
-def _candidate_report(C, reference, cert, extra=None) -> dict:
+def _candidate_report(C, reference, cert, extra) -> dict:
     adm = admissibility_report(C)
     rep = find_transparent(C.data)
     out = {
@@ -142,12 +142,15 @@ def _candidate_report(C, reference, cert, extra=None) -> dict:
         },
         "sl2z_diagnostics": sl2z_diagnostics(C.data),
     }
-    if extra:
-        out.update(extra)
+    out.update(extra)
     return out
 
 
-def _emit_report(report: dict, fmt: str, stream) -> None:
+def _emit(C, reference, cert, extra: dict, fmt: str, stream) -> None:
+    """Write a candidate in the requested format; json and csv go through the
+    full report, pretty reads the candidate directly."""
+    if fmt in ("json", "csv"):
+        report = _candidate_report(C, reference, cert, extra)
     if fmt == "json":
         json.dump(report, stream, indent=2, default=_json_default)
         stream.write("\n")
@@ -163,32 +166,29 @@ def _emit_report(report: dict, fmt: str, stream) -> None:
                         f"{cs['num']}/{cs['den']}", _fmt(report["torsion"][i])])
         return
     # pretty
-    print(f"manifold: {report['manifold']}   rank {report['rank']}", file=stream)
+    D = C.data
+    print(f"manifold: {C.manifold_tag}   rank {C.rank}", file=stream)
     print(f"{'label':>12} {'twist':>9} {'dim':>16} {'CS':>9} {'torsion':>16}", file=stream)
-    D = report["modular_data"]
-    for i, lab in enumerate(report["labels"]):
-        tw, cs = D["twists"][i], report["cs"][i]
-        print(f"{lab:>12} {tw['num']:>4}/{tw['den']:<4} {_fmt(D['dims'][i]):>16} "
-              f"{cs['num']:>4}/{cs['den']:<4} {_fmt(report['torsion'][i]):>16}", file=stream)
-    S = np.asarray([[complex(re, im) for re, im in row] for row in D["s_tilde"]]).real
+    for lab, tw, dim, cs, tor in zip(C.labels, D.twists, D.dims, C.cs, C.torsions):
+        print(f"{lab:>12} {tw.numerator:>4}/{tw.denominator:<4} {_fmt(dim):>16} "
+              f"{cs.numerator:>4}/{cs.denominator:<4} {_fmt(tor):>16}", file=stream)
     print("S-matrix (un-normalized):", file=stream)
-    for row in S:
+    for row in D.s_tilde.real:
         print("  [" + " ".join(f"{v:12.6f}" for v in row) + "]", file=stream)
-    adm = report["admissibility"]
-    print(f"total dim^2 = {_fmt(D['total_dim_sq'])}", file=stream)
-    print(f"admissibility: sum 1/(2Tor) = {_fmt(adm['sum_inverse_2tor'])}, "
-          f"|Gauss sum| = {_fmt(adm['gauss_sum_modulus'])} "
-          f"(target {_fmt(adm['target_modulus'])}) -> "
-          f"{'admissible' if adm['admissible'] else 'NOT admissible'}", file=stream)
-    mod = report["modularity"]
-    print(f"modular: {mod['is_modular']}   transparent: {mod['transparent_labels']}", file=stream)
-    cert = report["certification"]
-    print(f"certification vs catalog: {'PASS' if cert['passed'] else 'FAIL'} "
-          f"(max |dS| = {cert['max_s_delta']:.3e}, twists equal: {cert['twists_equal']})",
+    adm = admissibility_report(C)
+    print(f"total dim^2 = {_fmt(D.total_dim_sq)}", file=stream)
+    print(f"admissibility: sum 1/(2Tor) = {_fmt(adm.sum_inverse_2tor)}, "
+          f"|Gauss sum| = {_fmt(adm.gauss_sum_modulus)} "
+          f"(target {_fmt(adm.target_modulus)}) -> "
+          f"{'admissible' if adm.admissible else 'NOT admissible'}", file=stream)
+    mod = find_transparent(D)
+    print(f"modular: {mod.is_modular}   transparent: {list(mod.transparent_labels)}", file=stream)
+    print(f"certification vs catalog: {'PASS' if cert.passed else 'FAIL'} "
+          f"(max |dS| = {cert.max_s_delta:.3e}, twists equal: {cert.twists_equal})",
           file=stream)
-    if "oracle" in report:
+    if "oracle" in extra:
         print("torsion oracle (cell complex vs closed form):", file=stream)
-        for row in report["oracle"]:
+        for row in extra["oracle"]:
             print(f"  {row['label']:>8}: {_fmt(row['oracle'])} vs {_fmt(row['closed_form'])}",
                   file=stream)
 
@@ -216,11 +216,11 @@ def cmd_sfs(args) -> int:
             tlj_data(M.fibers[2].A),
         )
     cert = certify(C, reference)
-    report = _candidate_report(C, reference, cert, extra={
+    extra = {
         "z2_homology_sphere": z2_homology_sphere(M),
         "kauffman_phases": [phase_to_json(f.A) for f in M.fibers],
-    })
-    _emit_report(report, args.format, sys.stdout)
+    }
+    _emit(C, reference, cert, extra, args.format, sys.stdout)
     return EXIT_OK if cert.passed else EXIT_FAILED
 
 
@@ -245,8 +245,7 @@ def cmd_torus(args) -> int:
             rows.append({"label": chi.label(), "oracle": res.value,
                          "closed_form": float(closed), "acyclic": res.acyclic})
         extra["oracle"] = rows
-    report = _candidate_report(C, reference, cert, extra=extra)
-    _emit_report(report, args.format, sys.stdout)
+    _emit(C, reference, cert, extra, args.format, sys.stdout)
     return EXIT_OK if cert.passed else EXIT_FAILED
 
 
@@ -256,6 +255,12 @@ def _run_one_suite(job):
 
 
 def cmd_verify(args) -> int:
+    for flag, value, low in (("--max-p", args.max_p, 2), ("--max-N", args.max_N, 5),
+                             ("--max-level", args.max_level, 0),
+                             ("--lemma-max-p", args.lemma_max_p, 2)):
+        if value < low:
+            print(f"error: {flag} must be >= {low}", file=sys.stderr)
+            return EXIT_BAD_INPUT
     if args.max_p > args.cap or args.max_N > args.cap or args.lemma_max_p > 4 * args.cap:
         print(f"error: sweep ranges exceed the cap ({args.cap}); raise --cap explicitly",
               file=sys.stderr)

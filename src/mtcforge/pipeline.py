@@ -1,9 +1,18 @@
 """Candidate modular data assembled from manifold invariants.
 
-A candidate bundles an ordered character list, a unit choice, exact
+A candidate bundles an ordered character list with the unit first, exact
 Chern-Simons values, torsions, and one loop operator collection per label;
 the S-matrix is built from trace weights of those operators and certified
 against the independent catalog constructions.
+
+Both manifold families build S one way.  With W_f[beta, alpha] the trace
+weight of label alpha's operators on factor f at character beta,
+
+    S[a, b] = prod_f W_f[b, a] * W_f[0, b],
+
+over the three fibers of a Seifert space (each weight table at fiber size,
+gathered onto the labels) or over a single factor for a torus bundle and
+for the reseated unit.
 """
 
 from __future__ import annotations
@@ -17,7 +26,6 @@ import numpy as np
 
 from . import seifert, torus_bundle
 from .algebra import (
-    PHASE_HALF,
     PHASE_ZERO,
     RationalPhase,
     chebyshev,
@@ -47,7 +55,6 @@ class CandidateData:
     manifold: object
     characters: tuple
     labels: tuple[str, ...]
-    unit_index: int
     cs: tuple[RationalPhase, ...]
     torsions: np.ndarray
     loop_ops: tuple[tuple[LoopOperator, ...], ...]
@@ -88,14 +95,32 @@ def w_symbol(C: CandidateData, beta: int, alpha: int) -> float:
     return out
 
 
-def _assemble(manifold_tag, manifold, chars, labels, unit_index, cs, torsions,
+def _s_matrix(factors) -> np.ndarray:
+    """S[a, b] = prod_f W_f[J_f[b], J_f[a]] * W_f[0, J_f[b]].
+
+    factors holds one (W_f, J_f) pair per factor: the weight table
+    W_f[beta, alpha] at the factor's own size, and the map J_f from candidate
+    labels to factor labels (None for the identity).  Gathering after the
+    per-factor product keeps the work at rank^2 per factor.
+    """
+    S = None
+    for W, J in factors:
+        Sf = W.T * W[0, :]
+        if J is not None:
+            Sf = Sf[np.ix_(J, J)]
+        S = Sf if S is None else S * Sf
+    return S
+
+
+def _assemble(manifold_tag, manifold, chars, labels, cs, torsions,
               loop_ops, epsilon, s_tilde, grading, central_actions) -> CandidateData:
-    twists = tuple(-(c - cs[unit_index]) for c in cs)
+    # the unit is label 0, as ModularData requires
+    twists = tuple(-(c - cs[0]) for c in cs)
     dims = s_tilde[0, :].real.copy()
-    total_dim_sq = 2.0 * float(torsions[unit_index])
+    total_dim_sq = 2.0 * float(torsions[0])
     data = ModularData(labels, dims, twists, s_tilde.astype(complex), total_dim_sq, grading)
     data.validate(require_dim_sum=False)
-    C = CandidateData(manifold_tag, manifold, tuple(chars), labels, unit_index,
+    C = CandidateData(manifold_tag, manifold, tuple(chars), labels,
                       tuple(cs), np.asarray(torsions, dtype=float), loop_ops,
                       epsilon, data, central_actions)
     _check_candidate(C)
@@ -112,7 +137,7 @@ def _check_candidate(C: CandidateData, tol: float | None = None) -> None:
     want = D2 / (2.0 * C.torsions)
     if np.abs(np.abs(S[0, :]) ** 2 - want).max() > tol * max(1.0, D2):
         raise AssertionError("|S[0,:]|^2 does not match D^2/(2 Tor)")
-    if C.data.twists[C.unit_index] != PHASE_ZERO:
+    if C.data.twists[0] != PHASE_ZERO:
         raise AssertionError("unit twist must vanish")
 
 
@@ -139,13 +164,11 @@ def _sfs_canonical(M: SeifertData) -> CandidateData:
     eps = -1
     J = np.array([c.j for c in chars])
     factors = []
-    for f in M.fibers:
+    for k, f in enumerate(M.fibers):
+        # fiber character and fiber label are both indexed by the degree
         traces = np.array([phase_cos(Fraction(f.n_of(i) * f.c, f.p)) for i in range(f.rank)])
-        W = chebyshev_table(f.rank, eps * traces)  # W[i, deg]
-        factors.append(W.T * W[0, :][None, :])     # Sk[a, b] = W[b, a] W[0, b]
-    S = factors[0][np.ix_(J[:, 0], J[:, 0])] \
-        * factors[1][np.ix_(J[:, 1], J[:, 1])] \
-        * factors[2][np.ix_(J[:, 2], J[:, 2])]
+        factors.append((chebyshev_table(f.rank, eps * traces), J[:, k]))
+    S = _s_matrix(factors)
     cs = [seifert._cs_value(M, c.j) for c in chars]
     tors = np.array([seifert._torsion_value(M, c.n) for c in chars])
     ops = tuple(
@@ -154,7 +177,7 @@ def _sfs_canonical(M: SeifertData) -> CandidateData:
     )
     grading = tuple(c.j[0] % 2 for c in chars)
     actions = tuple(seifert.central_reps(M, chars, cs))
-    return _assemble(M.tag(), M, chars, labels, 0, cs, tors, ops, eps, S, grading, actions)
+    return _assemble(M.tag(), M, chars, labels, cs, tors, ops, eps, S, grading, actions)
 
 
 def _sfs_reseated(M: SeifertData) -> CandidateData:
@@ -167,14 +190,13 @@ def _sfs_reseated(M: SeifertData) -> CandidateData:
     eps = -1
     f3 = M.fibers[2]
     traces = np.array([phase_cos(Fraction(c.n[2], f3.p)) for c in chars])
-    W = chebyshev_table(r - 1, eps * traces)
-    S = W.T * W[0, :][None, :]
+    S = _s_matrix([(chebyshev_table(r - 1, eps * traces), None)])
     cs = [seifert._cs_value(M, c.j) for c in chars]
     tors = np.array([seifert._torsion_value(M, c.n) for c in chars])
     ops = tuple((LoopOperator("x3", 1, j),) for j in range(r - 1))
     grading = tuple(j % 2 for j in range(r - 1))
     actions = tuple(seifert.central_reps(M, chars, cs))
-    return _assemble(M.tag() + "~reseated", M, chars, labels, 0, cs, tors, ops, eps,
+    return _assemble(M.tag() + "~reseated", M, chars, labels, cs, tors, ops, eps,
                      S, grading, actions)
 
 
@@ -185,7 +207,6 @@ def torus_candidate(T: TorusMonodromy) -> CandidateData:
     chars = torus_bundle.enumerate_torus_characters(T)
     labels = tuple(c.label() for c in chars)
     eps = +1
-    L = len(chars)
     ops = []
     for c in chars:
         if c.kind == "irreducible":
@@ -195,23 +216,15 @@ def torus_candidate(T: TorusMonodromy) -> CandidateData:
     ops = tuple(ops)
     cs = [torus_bundle.torus_cs(T, c) for c in chars]
     tors = np.array([torus_bundle.torus_torsion(T, c) for c in chars])
-    S = np.empty((L, L))
-    W0 = np.empty(L)
-
-    def trace(beta, op):
-        chi = chars[beta]
-        if chi.kind == "irreducible":
-            return phase_cos(Fraction(chi.k * op.exponent, T.N))
-        return 2.0
-
-    for b in range(L):
-        W0[b] = math.prod(chebyshev(op.sym_degree, eps * trace(0, op)) for op in ops[b])
-    for a in range(L):
-        for b in range(L):
-            w_b_a = math.prod(chebyshev(op.sym_degree, eps * trace(b, op)) for op in ops[a])
-            S[a, b] = w_b_a * W0[b]
+    # W[beta, alpha]: alpha's single operator x^e at beta, where x has trace
+    # 2cos(2 pi k e / N) at an irreducible and is unipotent at a reducible
+    W = np.array([[chebyshev(op.sym_degree,
+                             eps * (phase_cos(Fraction(beta.k * op.exponent, T.N))
+                                    if beta.kind == "irreducible" else 2.0))
+                   for (op,) in ops] for beta in chars])
+    S = _s_matrix([(W, None)])
     actions = tuple(torus_bundle.central_reps(T))
-    return _assemble(T.tag(), T, chars, labels, 0, cs, tors, ops, eps, S, None, actions)
+    return _assemble(T.tag(), T, chars, labels, cs, tors, ops, eps, S, None, actions)
 
 
 @dataclass(frozen=True)
@@ -239,24 +252,18 @@ def admissibility_report(C: CandidateData, tol: float | None = None) -> Admissib
     total = float(inv2tor.sum())
     gauss = abs(sum(cmath.exp(-2j * math.pi * float(c.as_fraction())) * w
                     for c, w in zip(C.cs, inv2tor)))
-    unit = C.unit_index
-    classification = []
+    unit = 0
+    classification = tuple(
+        "bosonic" if act.is_bosonic else "fermionic" if act.is_fermionic else "neither"
+        for act in C.central_actions
+    )
     g0 = []
     for act in C.central_actions:
-        if act.is_bosonic:
-            classification.append("bosonic")
-        elif all(d in (PHASE_ZERO, PHASE_HALF) for d in act.cs_diffs):
-            classification.append("fermionic")
-        else:
-            classification.append("neither")
         img = act.permutation[unit]
         if C.cs[img] == C.cs[unit] and abs(C.torsions[img] - C.torsions[unit]) <= tol * C.torsions[unit]:
             g0.append(act)
     s_X = sorted({act.permutation[unit] for act in g0})
-    s_L = math.sqrt(2) if any(
-        cls == "fermionic"
-        for act, cls in zip(C.central_actions, classification) if act in g0
-    ) else 1.0
+    s_L = math.sqrt(2) if any(act.is_fermionic for act in g0) else 1.0
     # orbit partition of the label set under the relating subgroup
     seen = set()
     orbits = []
@@ -270,7 +277,7 @@ def admissibility_report(C: CandidateData, tol: float | None = None) -> Admissib
     admissible = abs(total - 1.0) < tol and abs(gauss - target) < tol
     return AdmissibilityReport(
         total, gauss, target, tuple(C.labels[i] for i in s_X), s_L,
-        tuple(orbits), tuple(classification), admissible,
+        tuple(orbits), classification, admissible,
     )
 
 

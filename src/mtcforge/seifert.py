@@ -16,7 +16,7 @@ from math import gcd
 
 import numpy as np
 
-from .algebra import PHASE_HALF, PHASE_ZERO, RationalPhase, mod2_kernel, mod2_span
+from .algebra import PHASE_HALF, PHASE_ZERO, CentralRep, RationalPhase, central_reps_mod2
 
 
 @dataclass(frozen=True)
@@ -200,29 +200,6 @@ def relation_matrix_mod2(M: SeifertData) -> np.ndarray:
     return rows
 
 
-@dataclass(frozen=True)
-class CentralRep:
-    """A homomorphism to the center, recorded as exponents on (x1,x2,x3,h),
-    with the permutation it induces on the character list and the exact
-    per-label Chern-Simons differences."""
-
-    sigma: tuple[int, int, int, int]
-    permutation: tuple[int, ...]
-    cs_diffs: tuple[RationalPhase, ...]
-
-    @property
-    def is_trivial(self) -> bool:
-        return not any(self.sigma)
-
-    @property
-    def is_bosonic(self) -> bool:
-        return all(d == PHASE_ZERO for d in self.cs_diffs)
-
-    @property
-    def is_fermionic(self) -> bool:
-        return not self.is_bosonic and all(d in (PHASE_ZERO, PHASE_HALF) for d in self.cs_diffs)
-
-
 def _act(M: SeifertData, chi: SfsCharacter, sigma) -> tuple:
     """Image key (n, lam) of a character under a central twist."""
     ns = []
@@ -247,24 +224,17 @@ def central_reps(M: SeifertData, chars: list[SfsCharacter] | None = None,
         chars = enumerate_characters(M)
     if cs_values is None:
         cs_values = [_cs_value(M, c.j) for c in chars]
-    L = len(chars)
-    identity = tuple(range(L))
-    zero_diffs = tuple([PHASE_ZERO] * L)
-    index = None
-    out = []
-    for v in mod2_span(mod2_kernel(relation_matrix_mod2(M)), width=4):
-        sigma = tuple(int(x) for x in v)
-        if not any(sigma):
-            out.append(CentralRep(sigma, identity, zero_diffs))
-            continue
-        if index is None:
-            index = {c.key(): i for i, c in enumerate(chars)}
+    index = {}
+
+    def permute(sigma):
+        if not index:
+            index.update((c.key(), i) for i, c in enumerate(chars))
         perm = []
         for c in chars:
             key = _act(M, c, sigma)
             if key not in index:
                 raise ValueError(f"central twist {sigma} leaves the candidate label set")
             perm.append(index[key])
-        diffs = tuple(cs_values[perm[i]] - cs_values[i] for i in range(L))
-        out.append(CentralRep(sigma, tuple(perm), diffs))
-    return out
+        return perm
+
+    return central_reps_mod2(relation_matrix_mod2(M), cs_values, permute)

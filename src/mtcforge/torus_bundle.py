@@ -18,7 +18,7 @@ from math import gcd
 
 import numpy as np
 
-from .algebra import PHASE_ZERO, RationalPhase
+from .algebra import CentralRep, RationalPhase, central_reps_mod2
 from .torsion_engine import BasedChainComplex
 
 
@@ -290,13 +290,6 @@ def _adjoint_monomial(T: TorusMonodromy, chi: TorusCharacter):
     return ev
 
 
-def _evaluate(R: GroupRing, elem, ev) -> np.ndarray:
-    out = np.zeros((3, 3), dtype=complex)
-    for (i, j, k), coeff in R.antipode(elem).items():
-        out += coeff * ev(i, j, k)
-    return out
-
-
 @lru_cache(maxsize=64)
 def _symbolic_boundaries(abcd: tuple[int, int, int, int], w_items: tuple):
     """Group-ring boundary data, computed once per (monodromy, chain).
@@ -358,40 +351,17 @@ def build_adjoint_complex(T: TorusMonodromy, chi: TorusCharacter,
     return BasedChainComplex((3, 9, 9, 3), (D3, D2, D1))
 
 
-@dataclass(frozen=True)
-class TorusCentralRep:
-    sigma: tuple[int, int, int]  # exponents on (x, y, h)
-    permutation: tuple[int, ...]
-    cs_diffs: tuple[RationalPhase, ...]
-
-    @property
-    def is_trivial(self) -> bool:
-        return not any(self.sigma)
-
-    @property
-    def is_bosonic(self) -> bool:
-        return all(d == PHASE_ZERO for d in self.cs_diffs)
-
-
-def central_reps(T: TorusMonodromy) -> list[TorusCentralRep]:
+def central_reps(T: TorusMonodromy) -> list[CentralRep]:
     """Central representations and their action on the character list.
 
     The kernel is generated by the sign rep on h, which exchanges the two
     reducible characters and fixes every irreducible one.
     """
-    _require_supported(T)
-    from .algebra import mod2_kernel, mod2_span
+    chars = enumerate_torus_characters(T)
 
-    L = T.r + 2
-    zero = tuple([PHASE_ZERO] * L)
-    out = []
-    for v in mod2_span(mod2_kernel(relation_matrix_mod2(T)), width=3):
-        sigma = tuple(int(x) for x in v)
-        if sigma == (0, 0, 0):
-            out.append(TorusCentralRep(sigma, tuple(range(L)), zero))
-        elif sigma == (0, 0, 1):
-            perm = (1, 0) + tuple(range(2, L))
-            out.append(TorusCentralRep(sigma, perm, zero))
-        else:
+    def permute(sigma):
+        if sigma != (0, 0, 1):
             raise ValueError(f"unexpected central representation {sigma}")
-    return out
+        return (1, 0) + tuple(range(2, len(chars)))
+
+    return central_reps_mod2(relation_matrix_mod2(T), [torus_cs(T, c) for c in chars], permute)

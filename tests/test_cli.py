@@ -155,6 +155,18 @@ class TestVerifyCommand:
         code, _, err = run_cli(["verify", "--suite", "sfs-tlj", "--max-p", "40"])
         assert code == 2 and "cap" in err
 
+    @pytest.mark.parametrize("argv, flag", [
+        (["--suite", "sfs-tlj", "--max-p", "1"], "--max-p"),
+        (["--suite", "sfs-tlj", "--max-p", "-3"], "--max-p"),
+        (["--suite", "torsion-oracle", "--max-N", "3"], "--max-N"),
+        (["--suite", "lemma-sums", "--lemma-max-p", "1"], "--lemma-max-p"),
+        (["--suite", "su2-parity", "--max-level", "-1"], "--max-level"),
+    ])
+    def test_lower_bounds_enforced(self, argv, flag):
+        code, out, err = run_cli(["verify"] + argv)
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: {flag} must be >= ")
+
     def test_parallel_jobs(self):
         code, out, _ = run_cli(["verify", "--suite", "rank6-table",
                                 "--suite", "su2-parity", "--jobs", "2"])

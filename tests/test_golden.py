@@ -1,0 +1,45 @@
+"""Byte-for-byte CLI output on a fixed set of manifolds.
+
+The files under tests/golden/ hold the stdout of each command; regenerate
+one only when an output change is intended.
+"""
+
+import io
+from contextlib import redirect_stdout
+from pathlib import Path
+
+import pytest
+
+from mtcforge.cli import main
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+def _sfs(*fibers):
+    return ["sfs"] + [arg for f in fibers for arg in ("--fiber", f)]
+
+
+COMMANDS = {
+    "sfs_5-1_3-2_5-4": _sfs("5,1", "3,2", "5,4"),
+    "sfs_4-3_5-2_3-2": _sfs("4,3", "5,2", "3,2"),
+    "sfs_2-1_2-1_3-1": _sfs("2,1", "2,1", "3,1"),
+    "sfs_3-1_3-1_6-1_reseated": _sfs("3,1", "3,1", "6,1") + ["--unit", "reseated"],
+    "torus_2_1_1_1": ["torus", "--monodromy=2,1,1,1"],
+    "torus_-10_9_-19_17": ["torus", "--monodromy=-10,9,-19,17"],
+}
+CASES = sorted(p.name for p in GOLDEN.iterdir())
+
+
+def test_every_command_has_golden_files():
+    assert {name.rsplit(".", 1)[0] for name in CASES} == set(COMMANDS)
+
+
+@pytest.mark.parametrize("name", CASES)
+def test_output_matches_golden(name):
+    stem, fmt = name.rsplit(".", 1)
+    out = io.StringIO()
+    with redirect_stdout(out):
+        code = main(COMMANDS[stem] + ["--format", fmt])
+    assert code == 0
+    # bytes, not text: csv rows end in \r\n
+    assert out.getvalue().encode() == (GOLDEN / name).read_bytes()

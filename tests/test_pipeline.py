@@ -52,9 +52,12 @@ class TestWSymbols:
             assert w_symbol(C, beta, 1) == 1.0
 
     def test_pairwise_equals_assembled_matrix(self):
-        for pairs in [[(3, 1), (3, 1), (4, 1)], [(5, 1), (3, 2), (5, 4)], [(4, 3), (5, 2), (3, 2)]]:
-            M = make_sfs(pairs)
-            C = sfs_candidate(M)
+        candidates = [sfs_candidate(make_sfs(pairs)) for pairs in
+                      [[(3, 1), (3, 1), (4, 1)], [(5, 1), (3, 2), (5, 4)], [(4, 3), (5, 2), (3, 2)]]]
+        candidates.append(sfs_candidate(make_sfs([(3, 1), (3, 1), (7, 1)]), unit="reseated"))
+        candidates += [torus_candidate(make_torus_bundle(*m))
+                       for m in [(2, 1, 1, 1), (-10, 9, -19, 17)]]
+        for C in candidates:
             S = C.data.s_tilde
             for a in range(C.rank):
                 for b in range(C.rank):
@@ -193,6 +196,25 @@ class TestAdmissibility:
         adm = admissibility_report(C)
         assert adm.sum_inverse_2tor == pytest.approx(2.0, abs=1e-12)
         assert not adm.admissible
+
+    def test_central_actions_match_cs_and_classification(self):
+        candidates = [sfs_candidate(make_sfs(pairs)) for pairs in
+                      [[(3, 1), (3, 1), (3, 2)], [(2, 1), (3, 1), (4, 1)], [(2, 1), (2, 1), (4, 1)]]]
+        candidates += [torus_candidate(make_torus_bundle(*m))
+                       for m in [(2, 1, 1, 1), (-10, 9, -19, 17)]]
+        seen = set()
+        for C in candidates:
+            assert any(not act.is_trivial for act in C.central_actions), C.manifold_tag
+            for act in C.central_actions:
+                perm = act.permutation
+                assert act.cs_diffs == tuple(C.cs[perm[i]] - C.cs[i] for i in range(C.rank))
+            classes = admissibility_report(C).central_classification
+            for act, cls in zip(C.central_actions, classes, strict=True):
+                want = ("bosonic" if act.is_bosonic else
+                        "fermionic" if act.is_fermionic else "neither")
+                assert cls == want
+                seen.add(cls)
+        assert seen == {"bosonic", "fermionic"}
 
     def test_generic_sweep_sum(self):
         pairs = [(p, q) for p in range(2, 6) for q in range(1, p) if gcd(p, q) == 1]

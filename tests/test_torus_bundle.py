@@ -175,11 +175,11 @@ class TestAdjointComplex:
         for chi in enumerate_torus_characters(T):
             C = build_adjoint_complex(T, chi)
             base = chain_torsion(C).value
-            from mtcforge.torus_bundle import GroupRing, _adjoint_monomial, _evaluate
+            from mtcforge.torus_bundle import GroupRing, _adjoint_monomial, _evaluate_antipoded
             R = GroupRing(T.a, T.b, T.c, T.d)
             ev = _adjoint_monomial(T, chi)
             for gamma in [(1, 0, 0), (0, 1, 0), (0, 0, 1), (2, -1, 1)]:
-                G = _evaluate(R, {gamma: 1}, ev)
+                G = _evaluate_antipoded(R.antipode({gamma: 1}), ev)
                 assert abs(abs(np.linalg.det(G)) - 1) < 1e-9
                 moved = BasedChainComplex(C.dims, (C.boundaries[0] @ G,) + C.boundaries[1:])
                 assert chain_torsion(moved).value == pytest.approx(base, rel=1e-9)
