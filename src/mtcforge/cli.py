@@ -255,24 +255,29 @@ def _run_one_suite(job):
 
 
 def cmd_verify(args) -> int:
-    for flag, value, low in (("--max-p", args.max_p, 2), ("--max-N", args.max_N, 5),
+    names = args.suite if args.suite else list(suites.ALL_SUITES)
+    # coverage floors: p <= 2 misses parity classes of sfs-modularity, and
+    # N <= 7 gives torsion-oracle fewer than its 20 oracle pairs
+    min_N = 9 if "torsion-oracle" in names else 5
+    for flag, value, low in (("--max-p", args.max_p, 3), ("--max-N", args.max_N, min_N),
                              ("--max-level", args.max_level, 0),
                              ("--lemma-max-p", args.lemma_max_p, 2)):
         if value < low:
             print(f"error: {flag} must be >= {low}", file=sys.stderr)
             return EXIT_BAD_INPUT
-    if args.max_p > args.cap or args.max_N > args.cap or args.lemma_max_p > 4 * args.cap:
+    if (max(args.max_p, args.max_N, args.max_level) > args.cap
+            or args.lemma_max_p > 4 * args.cap):
         print(f"error: sweep ranges exceed the cap ({args.cap}); raise --cap explicitly",
               file=sys.stderr)
         return EXIT_BAD_INPUT
     if args.jobs < 1:
         print("error: --jobs must be >= 1", file=sys.stderr)
         return EXIT_BAD_INPUT
-    names = args.suite if args.suite else list(suites.ALL_SUITES)
     kwargs = dict(max_p=args.max_p, max_N=args.max_N, max_level=args.max_level,
                   lemma_max_p=args.lemma_max_p, seed=args.seed)
     if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+        # the pool forks all of its workers at the first submit
+        with ProcessPoolExecutor(max_workers=min(args.jobs, len(names))) as pool:
             results = list(pool.map(_run_one_suite, [(n, kwargs) for n in names]))
     else:
         results = suites.run_suites(names, **kwargs)

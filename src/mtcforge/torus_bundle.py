@@ -5,15 +5,17 @@ enumeration, closed-form Chern-Simons and adjoint torsion, and the explicit
 twisted cellular chain complex that feeds the torsion oracle.  The cell
 structure has one 0-cell, three 1-cells (x, y, h), three 2-cells carrying
 the relations y x y^-1 x^-1, h^-1 x h (x^a y^c)^-1, h x^b y^d h^-1 y^-1,
-and one 3-cell.
+and one 3-cell.  The boundary maps are Fox derivatives of these relations,
+evaluated letter by letter in the adjoint representation of a character;
+no group-ring element is ever formed.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from math import gcd
 
 import numpy as np
@@ -135,105 +137,20 @@ def relation_matrix_mod2(T: TorusMonodromy) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# group ring of pi_1 and the twisted chain complex
+# the twisted chain complex, by Fox calculus in the adjoint representation
+#
+# Boundary entries are elements of Z[pi_1] passed through the antipode
+# g -> g^-1 before evaluation, so g acts by rho(g)^-1 and a product g1 g2
+# evaluates right to left, as rho(g2)^-1 rho(g1)^-1.  Only the abelian
+# subgroup <x, y> ever carries a sum; h enters as one matrix or its inverse.
 
 
-def _mat2_pow(a: int, b: int, c: int, d: int, k: int) -> tuple[int, int, int, int]:
-    if k < 0:
-        a, b, c, d = d, -b, -c, a  # det = 1
-        k = -k
-    ra, rb, rc, rd = 1, 0, 0, 1
-    for _ in range(k):
-        ra, rb, rc, rd = ra * a + rb * c, ra * b + rb * d, rc * a + rd * c, rc * b + rd * d
-    return ra, rb, rc, rd
-
-
-class GroupRing:
-    """Z[pi_1] in the normal form x^i y^j h^k; elements are dicts
-    {(i, j, k): coeff}.  Conjugation by h acts on (i, j) by the monodromy."""
-
-    def __init__(self, a: int, b: int, c: int, d: int):
-        self.abcd = (a, b, c, d)
-
-    def _conj(self, i: int, j: int, k: int) -> tuple[int, int]:
-        """Exponents of h^-k x^i y^j h^k."""
-        ra, rb, rc, rd = _mat2_pow(*self.abcd, k)
-        return ra * i + rb * j, rc * i + rd * j
-
-    def mul_elems(self, g1, g2):
-        i1, j1, k1 = g1
-        i2, j2, k2 = g2
-        i2p, j2p = self._conj(i2, j2, -k1)
-        return (i1 + i2p, j1 + j2p, k1 + k2)
-
-    def inv_elem(self, g):
-        i, j, k = g
-        ip, jp = self._conj(i, j, k)
-        return (-ip, -jp, -k)
-
-    def add(self, A, B):
-        out = dict(A)
-        for g, c in B.items():
-            v = out.get(g, 0) + c
-            if v:
-                out[g] = v
-            else:
-                out.pop(g, None)
-        return out
-
-    def sub(self, A, B):
-        return self.add(A, {g: -c for g, c in B.items()})
-
-    def mul(self, A, B):
-        out = {}
-        for g1, c1 in A.items():
-            for g2, c2 in B.items():
-                g = self.mul_elems(g1, g2)
-                v = out.get(g, 0) + c1 * c2
-                if v:
-                    out[g] = v
-                else:
-                    out.pop(g, None)
-        return out
-
-    def antipode(self, A):
-        return {self.inv_elem(g): c for g, c in A.items()}
-
-    def one(self):
-        return {(0, 0, 0): 1}
-
-    def gen(self, which: str, power: int = 1):
-        i, j, k = 0, 0, 0
-        if which == "x":
-            i = power
-        elif which == "y":
-            j = power
-        elif which == "h":
-            k = power
-        else:
-            raise ValueError(which)
-        return {(i, j, k): 1}
-
-    def geometric(self, which: str, n: int):
-        """1 + g + ... + g^(n-1) for n >= 0, -(g^-1 + ... + g^n) for n < 0."""
-        out = {}
-        if n >= 0:
-            for i in range(n):
-                out = self.add(out, self.gen(which, i))
-        else:
-            for i in range(1, -n + 1):
-                out = self.sub(out, self.gen(which, -i))
-        return out
-
-    def fox(self, word, var: str):
-        """Free derivative of a word [(gen, power), ...] wrt a generator."""
-        out = {}
-        prefix = self.one()
-        for g, p in word:
-            if g == var and p != 0:
-                out = self.add(out, self.mul(prefix, self.geometric(g, p)))
-            prefix = self.mul(prefix, self.gen(g, p))
-        return out
+def _geometric(n: int) -> list[tuple[int, int]]:
+    """(exponent, coeff) of 1 + g + ... + g^(n-1) for n >= 0, and of
+    -(g^-1 + ... + g^n) for n < 0: the Fox derivative of g^n."""
+    if n >= 0:
+        return [(e, 1) for e in range(n)]
+    return [(-e, -1) for e in range(1, 1 - n)]
 
 
 def connecting_word(T: TorusMonodromy) -> dict[tuple[int, int], int]:
@@ -241,89 +158,52 @@ def connecting_word(T: TorusMonodromy) -> dict[tuple[int, int], int]:
 
     The unique w(x, y) making the 3-cell boundary (1 - h w; (1-y)h; 1-x)
     compose to zero: w = [(1 - x^b y^d) s_a(x) - (1 - x^a y^c) s_b(x)] / (1-y)
-    with s_n the geometric sum.  Its coefficients sum to ad - bc = 1.
+    with s_n the geometric sum.  As s_a(x)(1 - x^b) = s_b(x)(1 - x^a) and
+    (1 - y^n) / (1 - y) = s_n(y), w = x^b s_a(x) s_d(y) - x^a s_b(x) s_c(y).
+    Its coefficients sum to ad - bc = 1.
     """
-    a, b, c, d = T.a, T.b, T.c, T.d
-    R = GroupRing(a, b, c, d)
-    t1 = R.mul(R.sub(R.one(), {(b, d, 0): 1}), R.geometric("x", a))
-    t2 = R.mul(R.sub(R.one(), {(a, c, 0): 1}), R.geometric("x", b))
-    P = R.sub(t1, t2)
-    cols: dict[int, dict[int, int]] = {}
-    for (i, j, k), coeff in P.items():
-        assert k == 0
-        cols.setdefault(i, {})[j] = coeff
     w: dict[tuple[int, int], int] = {}
-    for i, ycoeffs in cols.items():
-        lo, hi = min(ycoeffs), max(ycoeffs)
-        carry = 0
-        for j in range(lo, hi + 1):
-            carry += ycoeffs.get(j, 0)
-            if carry:
-                w[(i, j)] = carry
-        if carry != 0:
-            raise ArithmeticError("connecting word division failed")
-    return w
+    for shift, nx, ny, sign in ((T.b, T.a, T.d, 1), (T.a, T.b, T.c, -1)):
+        for i, ci in _geometric(nx):
+            for j, cj in _geometric(ny):
+                key = (shift + i, j)
+                w[key] = w.get(key, 0) + sign * ci * cj
+    return {key: coeff for key, coeff in w.items() if coeff}
 
 
-def _adjoint_monomial(T: TorusMonodromy, chi: TorusCharacter):
-    """Evaluator (i, j, k) -> 3x3 adjoint matrix of x^i y^j h^k."""
-    H_irr = np.array([[0, 0, -1], [0, -1, 0], [-1, 0, 0]], dtype=complex)
-    if chi.kind == "irreducible":
-        N = T.N
-        k0, l0 = chi.k, chi.l
+def _adjoint_evaluator(T: TorusMonodromy, chi: TorusCharacter):
+    """(ev, H, H^-1) at chi: ev(terms) is the adjoint image of
+    sum c (x^i y^j)^-1 over terms [(i, j, c), ...], and H = rho(h).
 
-        def ev(i: int, j: int, k: int) -> np.ndarray:
-            ph = (Fraction(2 * (k0 * i + l0 * j), N)) % 1
-            z = np.exp(2j * np.pi * float(ph))
-            D = np.diag([z, 1.0, np.conj(z)]).astype(complex)
-            return D if k % 2 == 0 else D @ H_irr
-
-        return ev
-    u, v = chi.u, chi.v
-    v2 = v * v
-
-    def ev(i: int, j: int, k: int) -> np.ndarray:
-        mu = i + j * u
-        U = np.array([[1, -2 * mu, -mu * mu], [0, 1, mu], [0, 0, 1]], dtype=complex)
-        return U @ np.diag([v2 ** k, 1.0, v2 ** (-k)]).astype(complex)
-
-    return ev
-
-
-@lru_cache(maxsize=64)
-def _symbolic_boundaries(abcd: tuple[int, int, int, int], w_items: tuple):
-    """Group-ring boundary data, computed once per (monodromy, chain).
-
-    Returns (d3, d2, d1) with entries already passed through the antipode,
-    ready for evaluation under a representation.
+    The sums run over Python scalars: a letter or geometric sum has at most
+    a few dozen terms, too few to repay numpy's per-call cost.
     """
-    a, b, c, d = abcd
-    R = GroupRing(a, b, c, d)
-    relators = [
-        [("y", 1), ("x", 1), ("y", -1), ("x", -1)],
-        [("h", -1), ("x", 1), ("h", 1), ("y", -c), ("x", -a)],
-        [("h", 1), ("x", b), ("y", d), ("h", -1), ("y", -1)],
-    ]
-    gens = ["x", "y", "h"]
-    w_elem = {(i, j, 0): coeff for (i, j), coeff in w_items}
-    d3 = [
-        R.sub(R.one(), R.mul(R.gen("h"), w_elem)),
-        R.mul(R.sub(R.one(), R.gen("y")), R.gen("h")),
-        R.sub(R.one(), R.gen("x")),
-    ]
-    d2 = [[R.fox(rel, g) for rel in relators] for g in gens]
-    d1 = [R.sub(R.gen(g), R.one()) for g in gens]
-    S = R.antipode
-    return ([S(e) for e in d3],
-            [[S(e) for e in row] for row in d2],
-            [S(e) for e in d1])
+    if chi.kind == "irreducible":
+        H = np.array([[0, 0, -1], [0, -1, 0], [-1, 0, 0]], dtype=complex)
+        # rho(x^i y^j) = diag(z, 1, 1/z) with z = exp(4 pi i n / N), n = k i + l j;
+        # its inverse puts zbar[n mod N] first on the diagonal
+        zbar = [cmath.exp(2j * math.pi * ((-2 * n) % T.N) / T.N) for n in range(T.N)]
 
+        def ev(terms) -> np.ndarray:
+            s = sum(c * zbar[(chi.k * i + chi.l * j) % T.N] for i, j, c in terms)
+            s0 = sum(c for _, _, c in terms)
+            return np.array([[s, 0, 0], [0, s0, 0], [0, 0, s.conjugate()]], dtype=complex)
 
-def _evaluate_antipoded(elem, ev) -> np.ndarray:
-    out = np.zeros((3, 3), dtype=complex)
-    for (i, j, k), coeff in elem.items():
-        out += coeff * ev(i, j, k)
-    return out
+        return ev, H, H
+
+    v2 = chi.v * chi.v
+
+    def ev(terms) -> np.ndarray:
+        # rho(x^i y^j)^-1 is unipotent in mu = -(i + j u), quadratic in mu:
+        # the sum needs only the moments sum c, sum c mu, sum c mu^2
+        s0 = s1 = s2 = 0.0
+        for i, j, c in terms:
+            mu = -(i + j * chi.u)
+            s0, s1, s2 = s0 + c, s1 + c * mu, s2 + c * mu * mu
+        return np.array([[s0, -2 * s1, -s2], [0, s0, s1], [0, 0, s0]], dtype=complex)
+
+    H = np.diag([v2, 1.0, 1 / v2]).astype(complex)
+    return ev, H, np.diag([1 / v2, 1.0, v2]).astype(complex)
 
 
 def build_adjoint_complex(T: TorusMonodromy, chi: TorusCharacter,
@@ -341,13 +221,35 @@ def build_adjoint_complex(T: TorusMonodromy, chi: TorusCharacter,
         w = dict(w)
         if sum(w.values()) != 1:
             raise ValueError("connecting chain coefficients must sum to 1")
-    d3_ring, d2_ring, d1_ring = _symbolic_boundaries(
-        (T.a, T.b, T.c, T.d), tuple(sorted(w.items())))
-    ev = _adjoint_monomial(T, chi)
-    D1 = np.hstack([_evaluate_antipoded(e, ev) for e in d1_ring])
-    D2 = np.vstack([np.hstack([_evaluate_antipoded(d2_ring[g][s], ev) for s in range(3)])
-                    for g in range(3)])
-    D3 = np.vstack([_evaluate_antipoded(e, ev) for e in d3_ring])
+    ev, H, H_inv = _adjoint_evaluator(T, chi)
+    I = np.eye(3, dtype=complex)
+    h_images = {-1: H, 0: I, 1: H_inv}  # antipoded h^k, i.e. rho(h)^-k
+
+    def image(g: str, terms) -> np.ndarray:
+        """Antipoded image of sum c g^e over terms [(e, c), ...]."""
+        if g == "h":
+            return sum((c * h_images[e] for e, c in terms), np.zeros((3, 3), dtype=complex))
+        return ev([(e, 0, c) if g == "x" else (0, e, c) for e, c in terms])
+
+    relators = [
+        [("y", 1), ("x", 1), ("y", -1), ("x", -1)],
+        [("h", -1), ("x", 1), ("h", 1), ("y", -T.c), ("x", -T.a)],
+        [("h", 1), ("x", T.b), ("y", T.d), ("h", -1), ("y", -1)],
+    ]
+    # one left-to-right pass per relator yields all three Fox derivatives:
+    # the letter g^p adds prefix * s_p(g) to d/dg, evaluated right to left
+    D2 = np.zeros((9, 9), dtype=complex)
+    for col, rel in enumerate(relators):
+        prefix = I
+        for g, p in rel:
+            row = 3 * "xyh".index(g)
+            D2[row:row + 3, 3 * col:3 * col + 3] += image(g, _geometric(p)) @ prefix
+            prefix = image(g, [(p, 1)]) @ prefix
+    X, Y = image("x", [(1, 1)]), image("y", [(1, 1)])
+    D1 = np.hstack([X - I, Y - I, H_inv - I])
+    D3 = np.vstack([I - ev([(i, j, c) for (i, j), c in w.items()]) @ H_inv,
+                    H_inv @ (I - Y),
+                    I - X])
     return BasedChainComplex((3, 9, 9, 3), (D3, D2, D1))
 
 

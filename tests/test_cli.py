@@ -155,12 +155,20 @@ class TestVerifyCommand:
         code, _, err = run_cli(["verify", "--suite", "sfs-tlj", "--max-p", "40"])
         assert code == 2 and "cap" in err
 
+    def test_level_cap_enforced(self):
+        # su2-parity squares the level range, so --max-level is capped too
+        code, out, err = run_cli(["verify", "--suite", "su2-parity", "--max-level", "26"])
+        assert code == 2 and out == "" and "cap" in err
+
     @pytest.mark.parametrize("argv, flag", [
         (["--suite", "sfs-tlj", "--max-p", "1"], "--max-p"),
         (["--suite", "sfs-tlj", "--max-p", "-3"], "--max-p"),
         (["--suite", "torsion-oracle", "--max-N", "3"], "--max-N"),
         (["--suite", "lemma-sums", "--lemma-max-p", "1"], "--lemma-max-p"),
         (["--suite", "su2-parity", "--max-level", "-1"], "--max-level"),
+        # coverage floors: below these the suites can never pass
+        (["--suite", "sfs-modularity", "--max-p", "2"], "--max-p"),
+        (["--suite", "torsion-oracle", "--max-N", "7"], "--max-N"),
     ])
     def test_lower_bounds_enforced(self, argv, flag):
         code, out, err = run_cli(["verify"] + argv)
@@ -172,6 +180,34 @@ class TestVerifyCommand:
                                 "--suite", "su2-parity", "--jobs", "2"])
         assert code == 0
         assert out.count("[PASS]") == 2
+
+    def test_torus_floor_applies_to_the_oracle_only(self):
+        code, out, _ = run_cli(["verify", "--suite", "torus-son2", "--max-N", "7"])
+        assert code == 0 and "[PASS] torus-son2" in out
+
+    def test_jobs_clamped_to_suite_count(self, monkeypatch):
+        # the pool forks all max_workers at once; it must never exceed the suites
+        import mtcforge.cli as cli
+        seen = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                seen.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, jobs):
+                return map(fn, jobs)
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+        code, out, _ = run_cli(["verify", "--suite", "rank6-table",
+                                "--suite", "su2-parity", "--jobs", "64"])
+        assert code == 0 and out.count("[PASS]") == 2
+        assert seen == [2]
 
 
 class TestToleranceOverride:

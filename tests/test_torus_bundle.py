@@ -8,6 +8,7 @@ from mtcforge.algebra import RationalPhase, mod2_kernel
 from mtcforge.torsion_engine import BasedChainComplex, chain_torsion
 from mtcforge.torus_bundle import (
     TorusCharacter,
+    _adjoint_evaluator,
     build_adjoint_complex,
     central_reps,
     connecting_word,
@@ -21,10 +22,12 @@ from mtcforge.torus_bundle import (
 
 
 def supported_examples():
-    # determinant-1 monodromies with N = a+d+2 in {5, 7, 9, 11, 13}
+    # determinant-1 monodromies with N = a+d+2 in {5, 7, 9, 11, 13}; the last
+    # two put negative powers into the Fox derivatives and geometric sums
     return [make_torus_bundle(*m) for m in
             [(2, 1, 1, 1), (1, 1, 1, 2), (4, 1, 3, 1), (1, 1, 3, 4), (2, 1, 5, 3),
-             (6, 1, 5, 1), (8, 7, 1, 1), (2, 17, 1, 9)]]
+             (6, 1, 5, 1), (8, 7, 1, 1), (2, 17, 1, 9), (-10, 9, -19, 17),
+             (-8, 17, -9, 19)]]
 
 
 class TestMonodromy:
@@ -168,6 +171,29 @@ class TestAdjointComplex:
         b = chain_torsion(build_adjoint_complex(T, chi, w=w))
         assert a.value == pytest.approx(b.value, rel=1e-12)
 
+    def test_evaluator_is_the_adjoint_representation(self):
+        # ev(terms) sums rho(x^i y^j)^-1 in closed form; check it against
+        # term-by-term matrix powers and against the relations of pi_1
+        mpow = np.linalg.matrix_power
+        for T in supported_examples():
+            for chi in enumerate_torus_characters(T):
+                ev, H, H_inv = _adjoint_evaluator(T, chi)
+                X, Y = ev([(-1, 0, 1)]), ev([(0, -1, 1)])
+                if chi.kind == "irreducible":
+                    z = np.exp(4j * np.pi * chi.k / T.N)
+                    assert np.allclose(X, np.diag([z, 1, 1 / z]), atol=1e-12)
+                else:  # unipotent x, with y the same pattern in u
+                    assert np.allclose(X, [[1, -2, -1], [0, 1, 1], [0, 0, 1]], atol=1e-12)
+                assert np.allclose(H @ H_inv, np.eye(3), atol=1e-12)
+                terms = [(2, -3, 5), (-4, 1, -2), (0, 0, 7), (3, 3, 1)]
+                loop = sum(c * np.linalg.inv(mpow(X, i) @ mpow(Y, j)) for i, j, c in terms)
+                scale = np.abs(loop).max()
+                assert np.abs(ev(terms) - loop).max() < 1e-9 * scale
+                for lhs, rhs in [(X @ Y, Y @ X),
+                                 (H_inv @ X @ H, mpow(X, T.a) @ mpow(Y, T.c)),
+                                 (H @ mpow(X, T.b) @ mpow(Y, T.d) @ H_inv, Y)]:
+                    assert np.abs(lhs - rhs).max() < 1e-9 * max(1.0, np.abs(rhs).max())
+
     def test_torsion_invariant_under_cell_lift_translation(self):
         # translating the 3-cell lift multiplies the top boundary by a
         # unimodular holonomy block; the torsion must not move
@@ -175,11 +201,10 @@ class TestAdjointComplex:
         for chi in enumerate_torus_characters(T):
             C = build_adjoint_complex(T, chi)
             base = chain_torsion(C).value
-            from mtcforge.torus_bundle import GroupRing, _adjoint_monomial, _evaluate_antipoded
-            R = GroupRing(T.a, T.b, T.c, T.d)
-            ev = _adjoint_monomial(T, chi)
-            for gamma in [(1, 0, 0), (0, 1, 0), (0, 0, 1), (2, -1, 1)]:
-                G = _evaluate_antipoded(R.antipode({gamma: 1}), ev)
+            ev, _, H_inv = _adjoint_evaluator(T, chi)
+            for i, j, k in [(1, 0, 0), (0, 1, 0), (0, 0, 1), (2, -1, 1)]:
+                # antipoded image of gamma = x^i y^j h^k, right to left
+                G = np.linalg.matrix_power(H_inv, k) @ ev([(i, j, 1)])
                 assert abs(abs(np.linalg.det(G)) - 1) < 1e-9
                 moved = BasedChainComplex(C.dims, (C.boundaries[0] @ G,) + C.boundaries[1:])
                 assert chain_torsion(moved).value == pytest.approx(base, rel=1e-9)
