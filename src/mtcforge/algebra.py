@@ -54,8 +54,16 @@ class RationalPhase:
 
     @staticmethod
     def of(num: int | Fraction, den: int = 1) -> "RationalPhase":
-        f = Fraction(num, den) % 1
-        return RationalPhase(f.numerator, f.denominator)
+        if not (isinstance(num, int) and isinstance(den, int)):
+            f = Fraction(num, den) % 1
+            return RationalPhase(f.numerator, f.denominator)
+        if den == 0:
+            raise ZeroDivisionError(f"RationalPhase.of({num}, 0)")
+        if den < 0:
+            num, den = -num, -den
+        num %= den
+        g = gcd(num, den)
+        return RationalPhase(num // g, den // g)
 
     def as_fraction(self) -> Fraction:
         return Fraction(self.numerator, self.denominator)
@@ -68,19 +76,22 @@ class RationalPhase:
         return self.denominator
 
     def __add__(self, other):
-        return RationalPhase.of(self.as_fraction() + _as_fraction(other))
+        n, d = _parts(other)
+        return RationalPhase.of(self.numerator * d + n * self.denominator, self.denominator * d)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        return RationalPhase.of(self.as_fraction() - _as_fraction(other))
+        n, d = _parts(other)
+        return RationalPhase.of(self.numerator * d - n * self.denominator, self.denominator * d)
 
     def __neg__(self):
-        return RationalPhase.of(-self.as_fraction())
+        return RationalPhase.of(-self.numerator, self.denominator)
 
     def __mul__(self, k):
         if isinstance(k, (int, Fraction)):
-            return RationalPhase.of(self.as_fraction() * k)
+            n, d = _parts(k)
+            return RationalPhase.of(self.numerator * n, self.denominator * d)
         return NotImplemented
 
     __rmul__ = __mul__
@@ -89,10 +100,11 @@ class RationalPhase:
         return f"{self.numerator}/{self.denominator}"
 
 
-def _as_fraction(x) -> Fraction:
-    if isinstance(x, RationalPhase):
-        return x.as_fraction()
-    return Fraction(x)
+def _parts(x) -> tuple[int, int]:
+    """(numerator, denominator) of a phase, an int, or anything Fraction takes."""
+    if not isinstance(x, (RationalPhase, int, Fraction)):
+        x = Fraction(x)
+    return x.numerator, x.denominator
 
 
 PHASE_ZERO = RationalPhase(0, 1)
@@ -103,17 +115,17 @@ def phase_normalize(num: int, den: int) -> RationalPhase:
     """Canonical representative of num/den in Q/Z."""
     if den == 0:
         raise ValueError("zero denominator")
-    return RationalPhase.of(Fraction(num, den))
+    return RationalPhase.of(num, den)
 
 
 def phase_cos(t: Fraction | RationalPhase, scale: int = 2) -> float:
     """scale * cos(2*pi*t) with the angle reduced exactly mod 1 first."""
-    f = _as_fraction(t) % 1
+    f = t if isinstance(t, RationalPhase) else RationalPhase.of(t)
     return scale * math.cos(2 * math.pi * f.numerator / f.denominator)
 
 
 def phase_sin(t: Fraction | RationalPhase) -> float:
-    f = _as_fraction(t) % 1
+    f = t if isinstance(t, RationalPhase) else RationalPhase.of(t)
     return math.sin(2 * math.pi * f.numerator / f.denominator)
 
 

@@ -36,7 +36,7 @@ from .pipeline import (
 )
 from .seifert import make_sfs, z2_homology_sphere
 from .torsion_engine import chain_torsion
-from .torus_bundle import build_adjoint_complex, make_torus_bundle
+from .torus_bundle import build_adjoint_complex, connecting_word, make_torus_bundle
 
 EXIT_OK = 0
 EXIT_FAILED = 1
@@ -240,8 +240,9 @@ def cmd_torus(args) -> int:
     extra = {"N": T.N, "c_tilde": T.c_tilde, "m": T.m}
     if args.oracle:
         rows = []
+        w = connecting_word(T)
         for chi, closed in zip(C.characters, C.torsions):
-            res = chain_torsion(build_adjoint_complex(T, chi))
+            res = chain_torsion(build_adjoint_complex(T, chi, w=w))
             rows.append({"label": chi.label(), "oracle": res.value,
                          "closed_form": float(closed), "acyclic": res.acyclic})
         extra["oracle"] = rows
@@ -340,6 +341,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    argv = list(sys.argv[1:] if argv is None else argv)
+    # argparse would read a negative first entry as an option, not as the value
+    if "--monodromy" in argv[:-1]:
+        i = argv.index("--monodromy")
+        argv[i:i + 2] = ["--monodromy=" + argv[i + 1]]
     args = build_parser().parse_args(argv)
     if getattr(args, "command", None) == "sfs" and len(args.fiber) != 3:
         print("error: exactly three --fiber arguments required", file=sys.stderr)

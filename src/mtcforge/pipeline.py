@@ -112,10 +112,9 @@ def _s_matrix(factors) -> np.ndarray:
     return S
 
 
-def _assemble(manifold_tag, manifold, chars, labels, cs, torsions,
+def _assemble(manifold_tag, manifold, chars, labels, cs, twists, torsions,
               loop_ops, epsilon, s_tilde, grading, central_actions) -> CandidateData:
     # the unit is label 0, as ModularData requires
-    twists = tuple(-(c - cs[0]) for c in cs)
     dims = s_tilde[0, :].real.copy()
     total_dim_sq = 2.0 * float(torsions[0])
     data = ModularData(labels, dims, twists, s_tilde.astype(complex), total_dim_sq, grading)
@@ -158,26 +157,37 @@ def sfs_candidate(M: SeifertData, unit: str = "canonical") -> CandidateData:
     raise ValueError(f"unknown unit choice {unit!r}")
 
 
+def _fiber_traces(f: seifert.SeifertFiber, e: int) -> np.ndarray:
+    """2cos(2 pi n_of(i) e / p) at every degree i of the fiber."""
+    return np.array([phase_cos(RationalPhase.of(seifert._twice_n(f, i) * e, 2 * f.p))
+                     for i in range(f.rank)])
+
+
+def _sfs_phases(M: SeifertData, chars):
+    """Exact CS values, twists cs[0] - cs, torsions and central actions of
+    an ordered character list, from integer residues mod lcm(4 p_k)."""
+    _, cs, L, tors = seifert._label_tables(M, np.array([c.j for c in chars]))
+    twists = tuple(RationalPhase.of(x, L) for x in ((cs[0] - cs) % L).tolist())
+    cs = [RationalPhase.of(x, L) for x in cs.tolist()]
+    return cs, twists, tors, tuple(seifert.central_reps(M, chars, cs))
+
+
 def _sfs_canonical(M: SeifertData) -> CandidateData:
     chars = seifert.enumerate_characters(M)
     labels = tuple(str(c.j).replace(" ", "") for c in chars)
     eps = -1
     J = np.array([c.j for c in chars])
-    factors = []
-    for k, f in enumerate(M.fibers):
-        # fiber character and fiber label are both indexed by the degree
-        traces = np.array([phase_cos(Fraction(f.n_of(i) * f.c, f.p)) for i in range(f.rank)])
-        factors.append((chebyshev_table(f.rank, eps * traces), J[:, k]))
-    S = _s_matrix(factors)
-    cs = [seifert._cs_value(M, c.j) for c in chars]
-    tors = np.array([seifert._torsion_value(M, c.n) for c in chars])
+    # fiber character and fiber label are both indexed by the degree
+    S = _s_matrix([(chebyshev_table(f.rank, eps * _fiber_traces(f, f.c)), J[:, k])
+                   for k, f in enumerate(M.fibers)])
+    cs, twists, tors, actions = _sfs_phases(M, chars)
     ops = tuple(
         tuple(LoopOperator(f"x{k + 1}", M.fibers[k].c, c.j[k]) for k in range(3))
         for c in chars
     )
     grading = tuple(c.j[0] % 2 for c in chars)
-    actions = tuple(seifert.central_reps(M, chars, cs))
-    return _assemble(M.tag(), M, chars, labels, cs, tors, ops, eps, S, grading, actions)
+    return _assemble(M.tag(), M, chars, labels, cs, twists, tors, ops, eps, S, grading,
+                     actions)
 
 
 def _sfs_reseated(M: SeifertData) -> CandidateData:
@@ -188,15 +198,12 @@ def _sfs_reseated(M: SeifertData) -> CandidateData:
     chars = [by_j[r - 2 - j] for j in range(r - 1)]
     labels = tuple(f"~{j}" for j in range(r - 1))
     eps = -1
-    f3 = M.fibers[2]
-    traces = np.array([phase_cos(Fraction(c.n[2], f3.p)) for c in chars])
+    traces = _fiber_traces(M.fibers[2], 1)[[c.j[2] for c in chars]]
     S = _s_matrix([(chebyshev_table(r - 1, eps * traces), None)])
-    cs = [seifert._cs_value(M, c.j) for c in chars]
-    tors = np.array([seifert._torsion_value(M, c.n) for c in chars])
+    cs, twists, tors, actions = _sfs_phases(M, chars)
     ops = tuple((LoopOperator("x3", 1, j),) for j in range(r - 1))
     grading = tuple(j % 2 for j in range(r - 1))
-    actions = tuple(seifert.central_reps(M, chars, cs))
-    return _assemble(M.tag() + "~reseated", M, chars, labels, cs, tors, ops, eps,
+    return _assemble(M.tag() + "~reseated", M, chars, labels, cs, twists, tors, ops, eps,
                      S, grading, actions)
 
 
@@ -224,7 +231,8 @@ def torus_candidate(T: TorusMonodromy) -> CandidateData:
                    for (op,) in ops] for beta in chars])
     S = _s_matrix([(W, None)])
     actions = tuple(torus_bundle.central_reps(T))
-    return _assemble(T.tag(), T, chars, labels, cs, tors, ops, eps, S, None, actions)
+    twists = tuple(cs[0] - c for c in cs)
+    return _assemble(T.tag(), T, chars, labels, cs, twists, tors, ops, eps, S, None, actions)
 
 
 @dataclass(frozen=True)
@@ -250,7 +258,7 @@ def admissibility_report(C: CandidateData, tol: float | None = None) -> Admissib
     tol = comparison_tolerance() if tol is None else tol
     inv2tor = 1.0 / (2.0 * C.torsions)
     total = float(inv2tor.sum())
-    gauss = abs(sum(cmath.exp(-2j * math.pi * float(c.as_fraction())) * w
+    gauss = abs(sum(cmath.exp(-2j * math.pi * (c.numerator / c.denominator)) * w
                     for c, w in zip(C.cs, inv2tor)))
     unit = 0
     classification = tuple(

@@ -51,9 +51,12 @@ class SeifertFiber:
         """Eigenvalue parameter of the degree-j character on this fiber."""
         if not 0 <= j <= self.p - 2:
             raise ValueError("degree out of range")
-        if self.q % 2 == 0 and j % 2 == 0:
-            return Fraction(self.p - 1 - j, 2)
-        return Fraction(j + 1, 2)
+        return Fraction(_twice_n(self, j), 2)
+
+
+def _twice_n(f: SeifertFiber, j: int) -> int:
+    """2 n_of(j), an integer."""
+    return f.p - 1 - j if f.q % 2 == 0 and j % 2 == 0 else j + 1
 
 
 def _fiber(p: int, q: int) -> SeifertFiber:
@@ -67,7 +70,7 @@ def _fiber(p: int, q: int) -> SeifertFiber:
         c = p * q * s - r
     else:
         c = p * q * s - r * (p - 1) ** 2
-    A = RationalPhase.of(Fraction(c, 4 * p) + Fraction(1, 2))
+    A = RationalPhase.of(c + 2 * p, 4 * p)
     return SeifertFiber(p, q, r, s, c, A)
 
 
@@ -108,14 +111,14 @@ class SfsCharacter:
     lam: RationalPhase
     n: tuple[Fraction, Fraction, Fraction]
 
-    def key(self):
-        return (self.n, self.lam)
+
+def _n_tables(M: SeifertData) -> list[list[Fraction]]:
+    return [[f.n_of(j) for j in range(f.rank)] for f in M.fibers]
 
 
-def _character(M: SeifertData, j: tuple[int, int, int]) -> SfsCharacter:
+def _character(ns: list[list[Fraction]], j: tuple[int, int, int]) -> SfsCharacter:
     lam = PHASE_HALF if j[0] % 2 == 0 else PHASE_ZERO
-    n = tuple(f.n_of(jk) for f, jk in zip(M.fibers, j))
-    return SfsCharacter(j, lam, n)
+    return SfsCharacter(j, lam, tuple(n[jk] for n, jk in zip(ns, j)))
 
 
 def enumerate_characters(M: SeifertData) -> list[SfsCharacter]:
@@ -123,7 +126,8 @@ def enumerate_characters(M: SeifertData) -> list[SfsCharacter]:
     evens = [range(0, f.p - 1, 2) for f in M.fibers]
     odds = [range(1, f.p - 1, 2) for f in M.fibers]
     js = list(product(*evens)) + list(product(*odds))
-    return [_character(M, j) for j in js]
+    ns = _n_tables(M)
+    return [_character(ns, j) for j in js]
 
 
 def character_count(M: SeifertData) -> int:
@@ -135,35 +139,39 @@ def _validate(M: SeifertData, chi: SfsCharacter) -> None:
     for f, jk in zip(M.fibers, chi.j):
         if not 0 <= jk <= f.p - 2:
             raise ValueError("character does not belong to this manifold")
-    if _character(M, chi.j) != chi:
+    if _character(_n_tables(M), chi.j) != chi:
         raise ValueError("character data inconsistent with manifold")
 
 
-def _cs_value(M: SeifertData, j: tuple[int, int, int]) -> RationalPhase:
-    total = Fraction(0)
-    for f, jk in zip(M.fibers, j):
-        total += Fraction(-f.c * (jk + 1) ** 2, 4 * f.p)
-    return RationalPhase.of(total)
+def _label_tables(M: SeifertData, J: np.ndarray):
+    """Integer data of the characters with degree rows J, gathered from
+    per-fiber tables indexed by degree: the central-rep keys
+    (2n_1, 2n_2, 2n_3, 2 lam), the CS values as int64 residues mod
+    L = lcm(4 p_k), L itself, and the torsions."""
+    L = math.lcm(*(4 * f.p for f in M.fibers))
+    keys, cs, tors = [], 0, 1.0
+    for f, j in zip(M.fibers, J.T):
+        n2 = [_twice_n(f, i) for i in range(f.rank)]
+        keys.append(np.array(n2)[j])
+        # -c (i+1)^2 / (4p) depends on c mod 4p only, so no residue exceeds L
+        cs = cs + np.array([(-f.c * (i + 1) ** 2) % (4 * f.p) * (L // (4 * f.p))
+                            for i in range(f.rank)], dtype=np.int64)[j]
+        s = np.array([math.sin(2 * math.pi * ((f.r * m) % (2 * f.p) / 2) / f.p) for m in n2])
+        tors = tors * (f.p / (4 * s * s))[j]
+    return np.column_stack(keys + [(J[:, 0] + 1) % 2]), cs % L, L, tors
 
 
 def cs_invariant(M: SeifertData, chi: SfsCharacter) -> RationalPhase:
     """Chern-Simons value sum_k -c_k (j_k+1)^2 / (4 p_k) mod 1, exact."""
     _validate(M, chi)
-    return _cs_value(M, chi.j)
-
-
-def _torsion_value(M: SeifertData, n: tuple[Fraction, ...]) -> float:
-    out = 1.0
-    for f, nk in zip(M.fibers, n):
-        s = math.sin(2 * math.pi * float((f.r * nk) % f.p) / f.p)
-        out *= f.p / (4 * s * s)
-    return out
+    _, cs, L, _ = _label_tables(M, np.array([chi.j]))
+    return RationalPhase.of(int(cs[0]), L)
 
 
 def torsion(M: SeifertData, chi: SfsCharacter) -> float:
     """Adjoint torsion p1 p2 p3 / prod_k 4 sin^2(2 pi r_k n_k / p_k)."""
     _validate(M, chi)
-    return _torsion_value(M, chi.n)
+    return float(_label_tables(M, np.array([chi.j]))[3][0])
 
 
 def quantum_dimension(M: SeifertData, chi: SfsCharacter) -> float:
@@ -200,19 +208,6 @@ def relation_matrix_mod2(M: SeifertData) -> np.ndarray:
     return rows
 
 
-def _act(M: SeifertData, chi: SfsCharacter, sigma) -> tuple:
-    """Image key (n, lam) of a character under a central twist."""
-    ns = []
-    for f, nk, sk in zip(M.fibers, chi.n, sigma[:3]):
-        if sk:
-            nk = (nk + Fraction(f.p, 2)) % f.p
-            if nk > Fraction(f.p, 2):
-                nk = f.p - nk
-        ns.append(nk)
-    lam = chi.lam + RationalPhase.of(Fraction(int(sigma[3]), 2))
-    return (tuple(ns), lam)
-
-
 def central_reps(M: SeifertData, chars: list[SfsCharacter] | None = None,
                  cs_values: list[RationalPhase] | None = None) -> list[CentralRep]:
     """All central representations with their induced label permutations.
@@ -222,19 +217,23 @@ def central_reps(M: SeifertData, chars: list[SfsCharacter] | None = None,
     """
     if chars is None:
         chars = enumerate_characters(M)
+    J = np.array([c.j for c in chars])
     if cs_values is None:
-        cs_values = [_cs_value(M, c.j) for c in chars]
-    index = {}
+        _, cs, L, _ = _label_tables(M, J)
+        cs_values = [RationalPhase.of(x, L) for x in cs.tolist()]
 
     def permute(sigma):
-        if not index:
-            index.update((c.key(), i) for i, c in enumerate(chars))
-        perm = []
-        for c in chars:
-            key = _act(M, c, sigma)
-            if key not in index:
-                raise ValueError(f"central twist {sigma} leaves the candidate label set")
-            perm.append(index[key])
-        return perm
+        image = _label_tables(M, J)[0]
+        index = {key: i for i, key in enumerate(map(tuple, image.tolist()))}
+        # n_k -> (n_k + p_k/2) mod p_k, folded into [0, p_k/2]; lam -> lam + 1/2
+        image[:, 3] ^= sigma[3]
+        for k, f in enumerate(M.fibers):
+            if sigma[k]:
+                m = (image[:, k] + f.p) % (2 * f.p)
+                image[:, k] = np.minimum(m, 2 * f.p - m)
+        try:
+            return [index[key] for key in map(tuple, image.tolist())]
+        except KeyError:
+            raise ValueError(f"central twist {sigma} leaves the candidate label set") from None
 
     return central_reps_mod2(relation_matrix_mod2(M), cs_values, permute)

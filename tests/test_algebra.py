@@ -70,6 +70,8 @@ class TestRationalPhase:
     def test_zero_denominator(self):
         with pytest.raises(ValueError):
             phase_normalize(1, 0)
+        with pytest.raises(ZeroDivisionError):
+            RationalPhase.of(1, 0)
 
     def test_to_complex_unit_modulus(self):
         t = phase_normalize(5, 7)
@@ -85,6 +87,25 @@ class TestRationalPhase:
         b = phase_normalize(bn, bd)
         assert (a + b) - b == a
         assert a + (-a) == RationalPhase(0, 1)
+
+    @given(st.integers(-10**6, 10**6), st.integers(-10**4, 10**4).filter(bool),
+           st.integers(-10**6, 10**6), st.integers(-10**4, 10**4).filter(bool),
+           st.integers(-10**3, 10**3), st.fractions(max_denominator=10**3))
+    @settings(max_examples=300)
+    def test_matches_fraction_oracle(self, an, ad, bn, bd, k, x):
+        def parts(t):
+            return t.numerator, t.denominator
+
+        a, b = RationalPhase.of(an, ad), RationalPhase.of(bn, bd)
+        fa, fb = Fraction(an, ad), Fraction(bn, bd)
+        assert parts(a) == parts(fa % 1)
+        assert parts(RationalPhase.of(fa)) == parts(fa % 1)
+        assert parts(a + b) == parts((fa + fb) % 1)
+        assert parts(a - b) == parts((fa - fb) % 1)
+        assert parts(-a) == parts(-fa % 1)
+        assert parts(a * k) == parts(k * a) == parts(fa * k % 1)
+        # a phase times a non-integer depends on its representative in [0, 1)
+        assert parts(a * x) == parts((fa % 1) * x % 1)
 
     def test_bulk_addition_exact(self):
         rng = np.random.default_rng(3)

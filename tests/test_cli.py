@@ -3,10 +3,12 @@ import io
 import json
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from mtcforge import cli, torus_bundle
 from mtcforge.algebra import RationalPhase
 from mtcforge.catalog import soN2_adjoint, su2_level
 from mtcforge.cli import (
@@ -18,6 +20,10 @@ from mtcforge.cli import (
     phase_from_json,
     phase_to_json,
 )
+from mtcforge.torus_bundle import connecting_word
+
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def run_cli(argv):
@@ -125,6 +131,27 @@ class TestTorusCommand:
     def test_malformed_input(self):
         code, _, err = run_cli(["torus", "--monodromy", "2,1,1"])
         assert code == 2
+
+    def test_negative_entry_space_separated(self):
+        code, out, _ = run_cli(["torus", "--monodromy", "-10,9,-19,17", "--format", "csv"])
+        assert code == 0
+        assert out.encode() == (GOLDEN / "torus_-10_9_-19_17.csv").read_bytes()
+
+    def test_oracle_builds_connecting_word_once(self, monkeypatch):
+        calls = []
+
+        def counting(T):
+            calls.append(T)
+            return connecting_word(T)
+
+        monkeypatch.setattr(cli, "connecting_word", counting)
+        monkeypatch.setattr(torus_bundle, "connecting_word", counting)
+        code, out, _ = run_cli(["torus", "--monodromy=-10,9,-19,17", "--oracle",
+                                "--format", "json"])
+        assert code == 0
+        obj = json.loads(out)
+        assert len(obj["oracle"]) == obj["rank"] > 1
+        assert len(calls) == 1
 
 
 class TestVerifyCommand:

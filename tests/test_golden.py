@@ -26,6 +26,7 @@ COMMANDS = {
     "sfs_3-1_3-1_6-1_reseated": _sfs("3,1", "3,1", "6,1") + ["--unit", "reseated"],
     "torus_2_1_1_1": ["torus", "--monodromy=2,1,1,1"],
     "torus_-10_9_-19_17": ["torus", "--monodromy=-10,9,-19,17"],
+    "torus_-10_9_-19_17_oracle": ["torus", "--monodromy=-10,9,-19,17", "--oracle"],
 }
 CASES = sorted(p.name for p in GOLDEN.iterdir())
 

@@ -4,9 +4,12 @@ from itertools import combinations_with_replacement
 from math import gcd
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mtcforge.algebra import PHASE_HALF, PHASE_ZERO, RationalPhase, mod2_rank
 from mtcforge.catalog import total_dim
+from mtcforge.pipeline import sfs_candidate
 from mtcforge.seifert import (
     central_reps,
     cs_invariant,
@@ -194,6 +197,56 @@ class TestChernSimons:
             for chi, chi2 in zip(enumerate_characters(M), enumerate_characters(M2)):
                 assert cs_invariant(M, chi) == cs_invariant(M2, chi2)
                 assert torsion(M, chi) == pytest.approx(torsion(M2, chi2), rel=1e-12)
+
+
+def coprime_pair(max_p):
+    return st.integers(2, max_p).flatmap(lambda p: st.tuples(
+        st.just(p), st.integers(-2 * p, 2 * p).filter(lambda q: gcd(p, q) == 1)))
+
+
+def fraction_torsion(M, chi):
+    """The closed form p1 p2 p3 / prod_k 4 sin^2(2 pi r_k n_k / p_k), from the
+    rational rotation numbers."""
+    out = 1.0
+    for f, nk in zip(M.fibers, chi.n):
+        s = math.sin(2 * math.pi * float((f.r * nk) % f.p) / f.p)
+        out *= f.p / (4 * s * s)
+    return out
+
+
+def fraction_action(M, chi, sigma):
+    """Image key (n, lam) of a character under a central twist: each twisted
+    n_k moves by p_k/2 mod p_k and folds back into [0, p_k/2]."""
+    ns = []
+    for f, nk, sk in zip(M.fibers, chi.n, sigma[:3]):
+        if sk:
+            nk = (nk + Fraction(f.p, 2)) % f.p
+            nk = min(nk, f.p - nk)
+        ns.append(nk)
+    return tuple(ns), (chi.lam.as_fraction() + Fraction(sigma[3], 2)) % 1
+
+
+class TestIntegerCandidate:
+    """The candidate's integer residues against Fraction arithmetic, past the
+    range that the sweep enumerates."""
+
+    @given(st.tuples(coprime_pair(19), coprime_pair(19), coprime_pair(19)))
+    @settings(max_examples=30, deadline=None)
+    def test_matches_fraction_forms(self, pairs):
+        M = make_sfs(pairs)
+        C = sfs_candidate(M)
+        chars = C.characters
+        assert list(C.cs) == [cs_from_rotation_numbers(M, chi) for chi in chars]
+        cs0 = C.cs[0].as_fraction()
+        for tw, cs in zip(C.data.twists, C.cs):
+            want = -(cs.as_fraction() - cs0) % 1
+            assert (tw.numerator, tw.denominator) == (want.numerator, want.denominator)
+        want = [fraction_torsion(M, chi) for chi in chars]
+        assert C.torsions == pytest.approx(want, rel=1e-12)
+        index = {(chi.n, chi.lam.as_fraction()): i for i, chi in enumerate(chars)}
+        for rep in C.central_actions:
+            assert rep.permutation == tuple(
+                index[fraction_action(M, chi, rep.sigma)] for chi in chars)
 
 
 class TestTorsion:
