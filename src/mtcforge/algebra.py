@@ -89,9 +89,9 @@ class RationalPhase:
         return RationalPhase.of(-self.numerator, self.denominator)
 
     def __mul__(self, k):
-        if isinstance(k, (int, Fraction)):
-            n, d = _parts(k)
-            return RationalPhase.of(self.numerator * n, self.denominator * d)
+        # only integer multiples are well defined on Q/Z
+        if isinstance(k, int):
+            return RationalPhase.of(self.numerator * k, self.denominator)
         return NotImplemented
 
     __rmul__ = __mul__

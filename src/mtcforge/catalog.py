@@ -199,11 +199,9 @@ def find_transparent(D: ModularData, tol: float | None = None) -> ModularityRepo
     tol = comparison_tolerance() if tol is None else tol
     S = D.s_tilde
     scale = np.abs(S).max()
-    transparent = []
-    for i in range(D.rank):
-        coeff = S[i, 0] / D.dims[0]
-        if np.abs(S[i, :] - coeff * D.dims).max() <= tol * max(scale, 1.0):
-            transparent.append(D.labels[i])
+    coeff = S[:, 0] / D.dims[0]
+    rows = np.abs(S - coeff[:, None] * D.dims).max(axis=1) <= tol * max(scale, 1.0)
+    transparent = [D.labels[i] for i in np.flatnonzero(rows)]
     sign, logabs = np.linalg.slogdet(S)
     if sign == 0:
         det_mod = 0.0

@@ -34,7 +34,7 @@ from .pipeline import (
     sl2z_diagnostics,
     torus_candidate,
 )
-from .seifert import make_sfs, z2_homology_sphere
+from .seifert import character_count, make_sfs, z2_homology_sphere
 from .torsion_engine import chain_torsion
 from .torus_bundle import build_adjoint_complex, connecting_word, make_torus_bundle
 
@@ -56,13 +56,11 @@ def phase_from_json(obj) -> RationalPhase:
     return RationalPhase.of(Fraction(obj["num"], obj["den"]))
 
 
-def complex_to_json(z) -> list:
-    z = complex(z)
-    return [z.real, z.imag]
-
-
 def matrix_to_json(M) -> list:
-    return [[complex_to_json(z) for z in row] for row in np.asarray(M, dtype=complex)]
+    # tuples, not lists: tuples of floats drop out of the cyclic GC's
+    # tracking after its first pass, which is most of the cost at large rank
+    M = np.asarray(M, dtype=complex)
+    return [list(zip(re, im)) for re, im in zip(M.real.tolist(), M.imag.tolist())]
 
 
 def matrix_from_json(rows) -> np.ndarray:
@@ -70,6 +68,8 @@ def matrix_from_json(rows) -> np.ndarray:
 
 
 def modular_data_to_json(D: ModularData) -> dict:
+    """The schema above, with each S entry an (re, im) tuple, which `json`
+    writes as the same two-element array as a list."""
     return {
         "labels": list(D.labels),
         "dims": [float(x) for x in D.dims],
@@ -204,6 +204,11 @@ def cmd_sfs(args) -> int:
     try:
         pairs = [_parse_pair(f, 2, "--fiber") for f in args.fiber]
         M = make_sfs(pairs)
+        rank = character_count(M)
+        if rank > args.max_rank:
+            print(f"error: rank {rank} exceeds --max-rank ({args.max_rank}); "
+                  "raise --max-rank explicitly", file=sys.stderr)
+            return EXIT_BAD_INPUT
         C = sfs_candidate(M, unit=args.unit)
     except (ValueError, ArithmeticError) as e:
         print(f"error: {e}", file=sys.stderr)
@@ -315,6 +320,8 @@ def build_parser() -> argparse.ArgumentParser:
                      help="surgery pair; give exactly three")
     sfs.add_argument("--unit", choices=["canonical", "reseated"], default="canonical")
     sfs.add_argument("--format", choices=["json", "csv", "pretty"], default="pretty")
+    sfs.add_argument("--max-rank", type=int, default=5000,
+                     help="refuse manifolds with more characters than this")
     sfs.set_defaults(func=cmd_sfs)
 
     torus = sub.add_parser("torus", help="torus-bundle monodromy to modular data")

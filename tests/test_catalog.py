@@ -97,6 +97,29 @@ class TestKauffmanData:
         assert quantum_integer(A, 4) == pytest.approx(0.0, abs=1e-12)
 
 
+class TestFindTransparent:
+    @staticmethod
+    def transparent_row_by_row(D, tol=1e-9):
+        S = D.s_tilde
+        scale = np.abs(S).max()
+        return tuple(D.labels[i] for i in range(D.rank)
+                     if np.abs(S[i, :] - S[i, 0] / D.dims[0] * D.dims).max()
+                     <= tol * max(scale, 1.0))
+
+    def test_matches_row_loop(self):
+        phases = [phase(k, 4 * p) for p in range(2, 8) for k in range(1, 4 * p, 2)
+                  if math.gcd(k, p) == 1]
+        data = [graded_product(tlj_data(a), tlj_data(b))
+                for a, b in zip(phases, phases[3:] + phases[:3])]
+        data += [soN2_adjoint(N, m) for N, m in [(5, -7), (7, -17), (13, 3)]]
+        seen = set()
+        for D in data:
+            rep = find_transparent(D, 1e-9)
+            assert rep.transparent_labels == self.transparent_row_by_row(D), D.labels
+            seen.add(rep.is_modular)
+        assert seen == {True, False}
+
+
 class TestSU2Level:
     def test_level_zero_trivial(self):
         D = su2_level(0)

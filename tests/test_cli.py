@@ -20,6 +20,8 @@ from mtcforge.cli import (
     phase_from_json,
     phase_to_json,
 )
+from mtcforge.pipeline import sfs_candidate
+from mtcforge.seifert import make_sfs
 from mtcforge.torus_bundle import connecting_word
 
 
@@ -43,6 +45,18 @@ class TestSerialization:
         M = np.array([[1.5, -2j], [0.25 + 1j, 3.0]])
         back = matrix_from_json(matrix_to_json(M))
         assert np.abs(back - M).max() == 0.0
+
+    def test_matrix_json_matches_per_entry_form(self):
+        rng = np.random.default_rng(7)
+        Z = rng.normal(size=(40, 40)) + 1j * rng.normal(size=(40, 40))
+        Z[0, :4] = [-0.0, complex(0.0, -0.0), 1e-300 - 1e300j, 1 / 3]
+        C = sfs_candidate(make_sfs([(11, 2), (13, 4), (7, 3)]))
+        assert C.rank == 180
+        for M in (Z, C.data.s_tilde):
+            per_entry = [[[complex(z).real, complex(z).imag] for z in row] for row in M]
+            for indent in (None, 2):
+                assert (json.dumps(matrix_to_json(M), indent=indent)
+                        == json.dumps(per_entry, indent=indent))
 
     def test_modular_data_roundtrip(self):
         for D in (su2_level(3), soN2_adjoint(7, -17)):
@@ -78,6 +92,21 @@ class TestSfsCommand:
         code, _, err = run_cli(["sfs", "--fiber", "4,2", "--fiber", "3,1", "--fiber", "3,1"])
         assert code == 2
         assert "coprime" in err
+
+    def test_rank_budget_checked_before_allocating(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("sfs_candidate called on an oversized manifold")
+
+        monkeypatch.setattr(cli, "sfs_candidate", refuse)
+        code, out, err = run_cli(["sfs", "--fiber", "2001,1", "--fiber", "2003,1",
+                                  "--fiber", "2005,1"])
+        assert code == 2 and out == ""
+        assert "rank 2006004000" in err and "--max-rank (5000)" in err
+
+    def test_rank_budget_flag(self):
+        argv = ["sfs", "--fiber", "3,1", "--fiber", "3,1", "--fiber", "4,1", "--max-rank"]
+        assert run_cli(argv + ["2"])[0] == 2
+        assert run_cli(argv + ["3"])[0] == 0
 
     def test_fiber_count_enforced(self):
         code, _, err = run_cli(["sfs", "--fiber", "3,1", "--fiber", "3,1"])

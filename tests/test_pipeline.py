@@ -279,3 +279,30 @@ class TestDiagnostics:
         diag = sl2z_diagnostics(C.data)
         assert set(diag) == {"st_cubed_residual", "s_fourth_residual", "lambda_modulus"}
         assert diag["s_fourth_residual"] < 1e-9
+
+    @staticmethod
+    def matrix_power_diagnostics(D):
+        # the dense-T, six-matmul formula the golden outputs were written with
+        S = D.s_tilde / math.sqrt(D.total_dim_sq)
+        T = np.diag(D.theta())
+        ST3 = np.linalg.matrix_power(S @ T, 3)
+        S2 = S @ S
+        lam = ST3[0, 0] / S2[0, 0] if abs(S2[0, 0]) > 1e-12 else 1.0
+        return {
+            "st_cubed_residual": float(np.abs(ST3 - lam * S2).max()),
+            "s_fourth_residual": float(np.abs(np.linalg.matrix_power(S, 4)
+                                              - np.eye(D.rank)).max()),
+            "lambda_modulus": abs(lam),
+        }
+
+    def test_bit_identical_to_matrix_power_formula(self):
+        pairs = [(p, q) for p in range(2, 6) for q in range(1, p) if gcd(p, q) == 1]
+        candidates = [sfs_candidate(make_sfs(combo))
+                      for combo in combinations_with_replacement(pairs, 3)]
+        candidates += [sfs_candidate(make_sfs([(3, 1), (3, 1), (r, 1)]), unit="reseated")
+                       for r in range(2, 13)]
+        candidates.append(sfs_candidate(make_sfs([(13, 2), (11, 3), (9, 4)])))
+        assert candidates[-1].rank == 240
+        for C in candidates:
+            assert sl2z_diagnostics(C.data) == self.matrix_power_diagnostics(C.data), \
+                C.manifold_tag
