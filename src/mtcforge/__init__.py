@@ -14,7 +14,6 @@ from .algebra import (
     mod2_kernel,
     mod2_rank,
     parity_exp_sum,
-    phase_normalize,
 )
 from .catalog import (
     ModularData,

@@ -65,6 +65,12 @@ class RationalPhase:
         g = gcd(num, den)
         return RationalPhase(num // g, den // g)
 
+    @staticmethod
+    def residues(phases) -> tuple[np.ndarray, int]:
+        """Phases as int64 residues over the lcm of their denominators."""
+        den = math.lcm(*(t.denominator for t in phases))
+        return np.array([t.numerator * (den // t.denominator) for t in phases], dtype=np.int64), den
+
     def as_fraction(self) -> Fraction:
         return Fraction(self.numerator, self.denominator)
 
@@ -109,13 +115,6 @@ def _parts(x) -> tuple[int, int]:
 
 PHASE_ZERO = RationalPhase(0, 1)
 PHASE_HALF = RationalPhase(1, 2)
-
-
-def phase_normalize(num: int, den: int) -> RationalPhase:
-    """Canonical representative of num/den in Q/Z."""
-    if den == 0:
-        raise ValueError("zero denominator")
-    return RationalPhase.of(num, den)
 
 
 def phase_cos(t: Fraction | RationalPhase, scale: int = 2) -> float:
@@ -167,44 +166,40 @@ def as_mod2(M) -> np.ndarray:
 
 
 def _row_reduce_mod2(M: np.ndarray):
-    A = as_mod2(M).copy()
+    A = as_mod2(M)
     rows, cols = A.shape
+    A = A.tolist()   # list entries index far faster than numpy scalars
     pivots = []
     r = 0
     for c in range(cols):
-        hit = None
-        for rr in range(r, rows):
-            if A[rr, c]:
-                hit = rr
-                break
+        hit = next((rr for rr in range(r, rows) if A[rr][c]), None)
         if hit is None:
             continue
-        A[[r, hit]] = A[[hit, r]]
+        A[r], A[hit] = A[hit], A[r]
         for rr in range(rows):
-            if rr != r and A[rr, c]:
-                A[rr] ^= A[r]
+            if rr != r and A[rr][c]:
+                A[rr] = [x ^ y for x, y in zip(A[rr], A[r])]
         pivots.append(c)
         r += 1
         if r == rows:
             break
-    return A, pivots
+    return A, cols, pivots
 
 
 def mod2_rank(M) -> int:
-    return len(_row_reduce_mod2(M)[1])
+    return len(_row_reduce_mod2(M)[2])
 
 
 def mod2_kernel(M) -> list[np.ndarray]:
     """Basis of the null space {v : Mv = 0} over F_2."""
-    A, pivots = _row_reduce_mod2(M)
-    cols = A.shape[1]
+    A, cols, pivots = _row_reduce_mod2(M)
     free = [c for c in range(cols) if c not in pivots]
     basis = []
     for fc in free:
         v = np.zeros(cols, dtype=np.uint8)
         v[fc] = 1
         for i, pc in enumerate(pivots):
-            v[pc] = A[i, fc]
+            v[pc] = A[i][fc]
         basis.append(v)
     return basis
 
@@ -229,11 +224,13 @@ def mod2_span(basis: list[np.ndarray], width: int | None = None) -> list[np.ndar
 class CentralRep:
     """A homomorphism to the center, recorded as F_2 exponents on the
     generators, with the permutation it induces on the character list and
-    the exact per-label Chern-Simons differences cs[perm[i]] - cs[i]."""
+    the exact per-label Chern-Simons differences cs[perm[i]] - cs[i], as
+    int64 residues mod cs_den."""
 
     sigma: tuple[int, ...]
     permutation: tuple[int, ...]
-    cs_diffs: tuple[RationalPhase, ...]
+    cs_diffs: np.ndarray
+    cs_den: int
 
     @property
     def is_trivial(self) -> bool:
@@ -241,28 +238,25 @@ class CentralRep:
 
     @property
     def is_bosonic(self) -> bool:
-        return all(d == PHASE_ZERO for d in self.cs_diffs)
+        return not self.cs_diffs.any()
 
     @property
     def is_fermionic(self) -> bool:
-        return not self.is_bosonic and all(d in (PHASE_ZERO, PHASE_HALF) for d in self.cs_diffs)
+        return not self.is_bosonic and not (2 * self.cs_diffs % self.cs_den).any()
 
 
-def central_reps_mod2(relations, cs_values, permute) -> list[CentralRep]:
+def central_reps_mod2(relations, cs_values: tuple[np.ndarray, int], permute) -> list[CentralRep]:
     """One CentralRep per F_2 solution sigma of the abelianized relations,
-    trivial first.  permute(sigma) gives the induced label permutation; it is
-    not called for the trivial representation, which acts as the identity."""
-    L = len(cs_values)
+    trivial first, for labels with Chern-Simons values cs_values, a (residues,
+    den) pair.  permute(sigma) gives the induced label permutation; it is not
+    called for the trivial representation, which acts as the identity."""
+    cs, den = cs_values
     width = np.asarray(relations).shape[1]
     out = []
     for v in mod2_span(mod2_kernel(relations), width=width):
         sigma = tuple(int(x) for x in v)
-        if not any(sigma):
-            out.append(CentralRep(sigma, tuple(range(L)), (PHASE_ZERO,) * L))
-            continue
-        perm = tuple(permute(sigma))
-        diffs = tuple(cs_values[perm[i]] - cs_values[i] for i in range(L))
-        out.append(CentralRep(sigma, perm, diffs))
+        perm = np.asarray(permute(sigma)) if any(sigma) else np.arange(len(cs))
+        out.append(CentralRep(sigma, tuple(perm.tolist()), (cs[perm] - cs) % den, den))
     return out
 
 

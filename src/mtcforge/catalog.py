@@ -16,14 +16,17 @@ from math import gcd
 
 import numpy as np
 
-from .algebra import PHASE_ZERO, RationalPhase, comparison_tolerance, phase_sin
+from .algebra import RationalPhase, comparison_tolerance, phase_sin
 
 
 @dataclass(frozen=True)
 class ModularData:
     """Label set with quantum dimensions, exact twists, un-normalized S-matrix
     (unit row/column first, S[0,0] = 1), total dimension squared, and an
-    optional Z2 grading.  Arrays are frozen read-only."""
+    optional Z2 grading.  Arrays are frozen read-only.  Residue contract:
+    twist i is stored as twist_residues[i] / twist_den in Q/Z, given to the
+    constructor as a (residues, den) pair or a tuple of RationalPhase;
+    `twists` is the tuple of reduced RationalPhase, built on first access."""
 
     labels: tuple[str, ...]
     dims: np.ndarray
@@ -33,12 +36,25 @@ class ModularData:
     grading: tuple[int, ...] | None = None
 
     def __post_init__(self):
-        dims = np.ascontiguousarray(self.dims, dtype=float)
-        S = np.ascontiguousarray(self.s_tilde, dtype=complex)
-        dims.setflags(write=False)
-        S.setflags(write=False)
-        object.__setattr__(self, "dims", dims)
-        object.__setattr__(self, "s_tilde", S)
+        tw = self.twists
+        res, den = tw if len(tw) == 2 and isinstance(tw[0], np.ndarray) else RationalPhase.residues(tw)
+        if den >= 2**31:   # keeps the rescaled sums of graded_product and certify in int64
+            raise ValueError(f"twist denominator {den} exceeds 2^31")
+        object.__delattr__(self, "twists")
+        object.__setattr__(self, "twist_den", den)
+        for name, a in (("dims", np.ascontiguousarray(self.dims, dtype=float)),
+                        ("s_tilde", np.ascontiguousarray(self.s_tilde, dtype=complex)),
+                        ("twist_residues", np.asarray(res, dtype=np.int64) % den)):
+            a.setflags(write=False)
+            object.__setattr__(self, name, a)
+
+    def __getattr__(self, name):
+        # `twists`, dropped by __post_init__, is rebuilt from the residues on first use
+        if name != "twists" or "twist_den" not in self.__dict__:
+            raise AttributeError(name)
+        tw = tuple(RationalPhase.of(x, self.twist_den) for x in self.twist_residues.tolist())
+        object.__setattr__(self, name, tw)
+        return tw
 
     @property
     def rank(self) -> int:
@@ -48,7 +64,7 @@ class ModularData:
         tol = comparison_tolerance() if tol is None else tol
         r = self.rank
         S = self.s_tilde
-        if S.shape != (r, r) or len(self.dims) != r or len(self.twists) != r:
+        if S.shape != (r, r) or len(self.dims) != r or len(self.twist_residues) != r:
             raise ValueError("inconsistent rank")
         if not np.all(np.isfinite(S)):
             raise ValueError("non-finite S entries")
@@ -64,7 +80,7 @@ class ModularData:
         if require_dim_sum and abs(float(np.sum(self.dims**2)) - self.total_dim_sq) \
                 > tol * max(1.0, self.total_dim_sq):
             raise ValueError("sum of dims^2 must equal total_dim_sq")
-        if self.twists[0] != PHASE_ZERO:
+        if self.twist_residues[0] != 0:
             raise ValueError("unit twist must be trivial")
         if self.grading is not None and len(self.grading) != r:
             raise ValueError("grading length mismatch")
@@ -115,13 +131,6 @@ def tlj_data(A_phase: RationalPhase) -> ModularData:
     return ModularData(labels, d, twists, S, D2, grading).validate()
 
 
-def total_dim(A_phase: RationalPhase) -> float:
-    """sqrt(2r)/|A^2 - A^-2| for the Kauffman data at A."""
-    t = A_phase.as_fraction()
-    r = RationalPhase.of(4 * t).order()
-    return math.sqrt(2 * r) / abs(2 * phase_sin(2 * t))
-
-
 @lru_cache(maxsize=None)
 def su2_level(k: int) -> ModularData:
     """The unitary rank-(k+1) quantum SU(2) data at level k, graded by parity."""
@@ -153,9 +162,8 @@ def soN2_adjoint(N: int, m: int) -> ModularData:
     r = (N - 1) // 2
     labels = ("1", "Z") + tuple(f"Y{k}" for k in range(1, r + 1))
     d = np.array([1.0, 1.0] + [2.0] * r)
-    twists = [PHASE_ZERO, PHASE_ZERO]
-    for k in range(1, r + 1):
-        twists.append(RationalPhase.of(Fraction(m * (N * k - k * k), 2 * N)))
+    ks = np.arange(1, r + 1)
+    twists = (np.concatenate([[0, 0], m % (2 * N) * (N * ks - ks * ks) % (2 * N)]), 2 * N)
     S = np.empty((r + 2, r + 2), dtype=complex)
     S[:2, :2] = 1.0
     for k in range(1, r + 1):
@@ -163,30 +171,31 @@ def soN2_adjoint(N: int, m: int) -> ModularData:
         for j in range(k, r + 1):
             v = 4 * math.cos(2 * math.pi * ((m * k * j) % N) / N)
             S[1 + k, 1 + j] = S[1 + j, 1 + k] = v
-    return ModularData(labels, d, tuple(twists), S, 2.0 * N).validate()
+    return ModularData(labels, d, twists, S, 2.0 * N).validate()
 
 
 def graded_product(X: ModularData, Y: ModularData) -> ModularData:
     """Sector-wise product of two Z2-graded data sets.
 
     Labels are the matching-grade pairs, even block before odd block, each
-    lexicographic; dims, twists and S entries multiply componentwise.
+    lexicographic; dims and S entries multiply and twists add componentwise.
     """
     if X.grading is None or Y.grading is None:
         raise ValueError("both factors must carry a Z2 grading")
-    pairs = [(i, j) for g in (0, 1)
-             for i in range(X.rank) if X.grading[i] == g
-             for j in range(Y.rank) if Y.grading[j] == g]
-    ii = np.array([p[0] for p in pairs])
-    jj = np.array([p[1] for p in pairs])
-    labels = tuple(f"({X.labels[i]},{Y.labels[j]})" for i, j in pairs)
+    gx, gy = np.array(X.grading), np.array(Y.grading)
+    ii, jj = np.nonzero(gx[:, None] == gy)
+    order = np.argsort(gx[ii], kind="stable")
+    ii, jj = ii[order], jj[order]
+    labels = tuple(f"({X.labels[i]},{Y.labels[j]})" for i, j in zip(ii.tolist(), jj.tolist()))
     dims = X.dims[ii] * Y.dims[jj]
-    twists = tuple(X.twists[i] + Y.twists[j] for i, j in pairs)
-    S = X.s_tilde[np.ix_(ii, ii)] * Y.s_tilde[np.ix_(jj, jj)]
-    sector = lambda D, g: float(np.sum(D.dims[np.array(D.grading) == g] ** 2))
-    D2 = sector(X, 0) * sector(Y, 0) + sector(X, 1) * sector(Y, 1)
-    grading = tuple(X.grading[i] for i, _ in pairs)
-    return ModularData(labels, dims, twists, S, D2, grading).validate()
+    L = math.lcm(X.twist_den, Y.twist_den)
+    twists = (X.twist_residues[ii] * (L // X.twist_den)
+              + Y.twist_residues[jj] * (L // Y.twist_den)) % L
+    S = X.s_tilde.take(ii, 0).take(ii, 1) * Y.s_tilde.take(jj, 0).take(jj, 1)
+    sector = lambda D, gd, g: float(np.sum(D.dims[gd == g] ** 2))
+    D2 = sector(X, gx, 0) * sector(Y, gy, 0) + sector(X, gx, 1) * sector(Y, gy, 1)
+    grading = tuple(gx[ii].tolist())
+    return ModularData(labels, dims, (twists, L), S, D2, grading).validate()
 
 
 def find_transparent(D: ModularData, tol: float | None = None) -> ModularityReport:
@@ -217,8 +226,8 @@ def verlinde_fusion(D: ModularData, tol: float | None = None) -> np.ndarray:
     if not find_transparent(D, tol).is_modular:
         raise ValueError("Verlinde fusion needs modular (non-degenerate) data")
     S = D.s_tilde / math.sqrt(D.total_dim_sq)
-    N = np.einsum("im,jm,km->ijk", S, S, S.conj() / S[0, :])
-    return N.real
+    N = (S[:, None, :] * S).reshape(-1, D.rank) @ (S.conj() / S[0, :]).T
+    return N.real.reshape((D.rank,) * 3)
 
 
 def fusion_defects(N: np.ndarray) -> tuple[float, float]:
@@ -227,8 +236,9 @@ def fusion_defects(N: np.ndarray) -> tuple[float, float]:
     integrality = float(np.abs(N - rounded).max())
     if rounded.min() < 0:
         integrality = max(integrality, float(-rounded.min()))
-    assoc = float(np.abs(np.einsum("ijm,mkl->ijkl", N, N)
-                         - np.einsum("jkm,iml->ijkl", N, N)).max())
+    # sum_m N_ij^m N_mk^l and sum_m N_jk^m N_im^l, both flattened in (i, j, k, l) order
+    flat = N.reshape(-1, len(N))
+    assoc = float(np.abs((flat @ N.reshape(len(N), -1)).ravel() - (flat @ N).ravel()).max())
     return integrality, assoc
 
 
@@ -241,7 +251,7 @@ def reorder(D: ModularData, perm) -> ModularData:
     return ModularData(
         tuple(D.labels[i] for i in perm),
         D.dims[P],
-        tuple(D.twists[i] for i in perm),
+        (D.twist_residues[P], D.twist_den),
         D.s_tilde[np.ix_(P, P)],
         D.total_dim_sq,
         None if D.grading is None else tuple(D.grading[i] for i in perm),

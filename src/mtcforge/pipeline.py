@@ -21,12 +21,12 @@ import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
 from . import seifert, torus_bundle
 from .algebra import (
-    PHASE_ZERO,
     RationalPhase,
     chebyshev,
     chebyshev_table,
@@ -51,13 +51,22 @@ class LoopOperator:
 
 @dataclass(frozen=True)
 class CandidateData:
+    """Residue contract: label i has Chern-Simons value cs_residues[i] / cs_den
+    in Q/Z and loop operators op_generators[k]^op_exponents[i, k] of degree
+    op_degrees[i, k].  J is a Seifert space's int64 (rank, 3) degree rows, None
+    for a torus bundle.  `characters`, `cs` and `loop_ops` are built on first
+    access."""
+
     manifold_tag: str
     manifold: object
-    characters: tuple
+    J: np.ndarray | None
     labels: tuple[str, ...]
-    cs: tuple[RationalPhase, ...]
+    cs_residues: np.ndarray
+    cs_den: int
     torsions: np.ndarray
-    loop_ops: tuple[tuple[LoopOperator, ...], ...]
+    op_generators: tuple[str, ...]
+    op_exponents: np.ndarray
+    op_degrees: np.ndarray
     epsilon: int
     data: ModularData
     central_actions: tuple
@@ -68,6 +77,21 @@ class CandidateData:
 
     def twist(self, alpha: int) -> RationalPhase:
         return self.data.twists[alpha]
+
+    @cached_property
+    def characters(self) -> tuple:
+        if self.J is None:
+            return tuple(torus_bundle.enumerate_torus_characters(self.manifold))
+        return tuple(seifert._characters(self.manifold, self.J))
+
+    @cached_property
+    def cs(self) -> tuple[RationalPhase, ...]:
+        return tuple(RationalPhase.of(x, self.cs_den) for x in self.cs_residues.tolist())
+
+    @cached_property
+    def loop_ops(self) -> tuple[tuple[LoopOperator, ...], ...]:
+        return tuple(tuple(map(LoopOperator, self.op_generators, e, d)) for e, d
+                     in zip(self.op_exponents.tolist(), self.op_degrees.tolist()))
 
 
 def character_trace(C: CandidateData, beta: int, op: LoopOperator) -> float:
@@ -107,37 +131,25 @@ def _s_matrix(factors) -> np.ndarray:
     for W, J in factors:
         Sf = W.T * W[0, :]
         if J is not None:
-            Sf = Sf[np.ix_(J, J)]
+            Sf = Sf.take(J, 0).take(J, 1)
         S = Sf if S is None else S * Sf
     return S
 
 
-def _assemble(manifold_tag, manifold, chars, labels, cs, twists, torsions,
-              loop_ops, epsilon, s_tilde, grading, central_actions) -> CandidateData:
+def _assemble(manifold_tag, manifold, J, labels, cs, twists, torsions, ops, epsilon, s_tilde,
+              grading, central_actions) -> CandidateData:
+    """cs: a (residues, den) pair; twists: a pair or phases; ops: (generators, exponents, degrees)."""
     # the unit is label 0, as ModularData requires
     dims = s_tilde[0, :].real.copy()
-    total_dim_sq = 2.0 * float(torsions[0])
-    data = ModularData(labels, dims, twists, s_tilde.astype(complex), total_dim_sq, grading)
+    D2 = 2.0 * float(torsions[0])
+    data = ModularData(labels, dims, twists, s_tilde.astype(complex), D2, grading)
     data.validate(require_dim_sum=False)
-    C = CandidateData(manifold_tag, manifold, tuple(chars), labels,
-                      tuple(cs), np.asarray(torsions, dtype=float), loop_ops,
-                      epsilon, data, central_actions)
-    _check_candidate(C)
-    return C
-
-
-def _check_candidate(C: CandidateData, tol: float | None = None) -> None:
-    tol = comparison_tolerance() if tol is None else tol
-    S = C.data.s_tilde
-    scale = max(1.0, float(np.abs(S).max()))
-    if np.abs(S - S.T).max() > tol * scale:
-        raise AssertionError("candidate S-matrix is not symmetric")
-    D2 = C.data.total_dim_sq
-    want = D2 / (2.0 * C.torsions)
-    if np.abs(np.abs(S[0, :]) ** 2 - want).max() > tol * max(1.0, D2):
+    torsions = np.asarray(torsions, dtype=float)
+    if np.abs(np.abs(data.s_tilde[0, :]) ** 2 - D2 / (2.0 * torsions)).max() \
+            > comparison_tolerance() * max(1.0, D2):
         raise AssertionError("|S[0,:]|^2 does not match D^2/(2 Tor)")
-    if C.data.twists[0] != PHASE_ZERO:
-        raise AssertionError("unit twist must vanish")
+    return CandidateData(manifold_tag, manifold, J, labels, *cs, torsions, *ops, epsilon, data,
+                         central_actions)
 
 
 def sfs_candidate(M: SeifertData, unit: str = "canonical") -> CandidateData:
@@ -163,48 +175,37 @@ def _fiber_traces(f: seifert.SeifertFiber, e: int) -> np.ndarray:
                      for i in range(f.rank)])
 
 
-def _sfs_phases(M: SeifertData, chars):
-    """Exact CS values, twists cs[0] - cs, torsions and central actions of
-    an ordered character list, from integer residues mod lcm(4 p_k)."""
-    _, cs, L, tors = seifert._label_tables(M, np.array([c.j for c in chars]))
-    twists = tuple(RationalPhase.of(x, L) for x in ((cs[0] - cs) % L).tolist())
-    cs = [RationalPhase.of(x, L) for x in cs.tolist()]
-    return cs, twists, tors, tuple(seifert.central_reps(M, chars, cs))
+def _sfs_assemble(M: SeifertData, tag, J, labels, S, ops, grading) -> CandidateData:
+    """The characters with degree rows J, with exact CS values mod L =
+    lcm(4 p_k), twists cs[0] - cs, torsions and central actions."""
+    keys, cs, L, tors = seifert._label_tables(M, J)
+    actions = tuple(seifert._central_reps(M, keys, (cs, L)))
+    return _assemble(tag, M, J, labels, (cs, L), ((cs[0] - cs) % L, L), tors, ops, -1, S,
+                     grading, actions)
 
 
 def _sfs_canonical(M: SeifertData) -> CandidateData:
-    chars = seifert.enumerate_characters(M)
-    labels = tuple(str(c.j).replace(" ", "") for c in chars)
-    eps = -1
-    J = np.array([c.j for c in chars])
+    J = seifert._degree_rows(M)
+    labels = tuple(f"({a},{b},{c})" for a, b, c in J.tolist())
     # fiber character and fiber label are both indexed by the degree
-    S = _s_matrix([(chebyshev_table(f.rank, eps * _fiber_traces(f, f.c)), J[:, k])
+    S = _s_matrix([(chebyshev_table(f.rank, -_fiber_traces(f, f.c)), J[:, k])
                    for k, f in enumerate(M.fibers)])
-    cs, twists, tors, actions = _sfs_phases(M, chars)
-    ops = tuple(
-        tuple(LoopOperator(f"x{k + 1}", M.fibers[k].c, c.j[k]) for k in range(3))
-        for c in chars
-    )
-    grading = tuple(c.j[0] % 2 for c in chars)
-    return _assemble(M.tag(), M, chars, labels, cs, twists, tors, ops, eps, S, grading,
-                     actions)
+    ops = (("x1", "x2", "x3"), np.broadcast_to([f.c for f in M.fibers], J.shape), J)
+    return _sfs_assemble(M, M.tag(), J, labels, S, ops, tuple((J[:, 0] % 2).tolist()))
 
 
 def _sfs_reseated(M: SeifertData) -> CandidateData:
     if M.p[:2] != (3, 3) or M.q != (1, 1, 1):
         raise ValueError("reseated unit is defined only for the (3,1),(3,1),(r,1) family")
     r = M.p[2]
-    by_j = {c.j[2]: c for c in seifert.enumerate_characters(M)}
-    chars = [by_j[r - 2 - j] for j in range(r - 1)]
+    # label j is the character of third degree r - 2 - j
+    J = seifert._degree_rows(M)
+    J = J[np.argsort(-J[:, 2])]
     labels = tuple(f"~{j}" for j in range(r - 1))
-    eps = -1
-    traces = _fiber_traces(M.fibers[2], 1)[[c.j[2] for c in chars]]
-    S = _s_matrix([(chebyshev_table(r - 1, eps * traces), None)])
-    cs, twists, tors, actions = _sfs_phases(M, chars)
-    ops = tuple((LoopOperator("x3", 1, j),) for j in range(r - 1))
-    grading = tuple(j % 2 for j in range(r - 1))
-    return _assemble(M.tag() + "~reseated", M, chars, labels, cs, twists, tors, ops, eps,
-                     S, grading, actions)
+    S = _s_matrix([(chebyshev_table(r - 1, -_fiber_traces(M.fibers[2], 1)[J[:, 2]]), None)])
+    ops = (("x3",), np.ones((r - 1, 1), dtype=np.int64), np.arange(r - 1)[:, None])
+    return _sfs_assemble(M, M.tag() + "~reseated", J, labels, S, ops,
+                         tuple(j % 2 for j in range(r - 1)))
 
 
 def torus_candidate(T: TorusMonodromy) -> CandidateData:
@@ -214,25 +215,20 @@ def torus_candidate(T: TorusMonodromy) -> CandidateData:
     chars = torus_bundle.enumerate_torus_characters(T)
     labels = tuple(c.label() for c in chars)
     eps = +1
-    ops = []
-    for c in chars:
-        if c.kind == "irreducible":
-            ops.append((LoopOperator("x", T.m * c.k, 1),))
-        else:
-            ops.append((LoopOperator("x", 1, 0),))
-    ops = tuple(ops)
+    # (exponent, degree) of each label's single operator
+    E = np.array([(T.m * c.k, 1) if c.kind == "irreducible" else (1, 0) for c in chars])
     cs = [torus_bundle.torus_cs(T, c) for c in chars]
     tors = np.array([torus_bundle.torus_torsion(T, c) for c in chars])
     # W[beta, alpha]: alpha's single operator x^e at beta, where x has trace
     # 2cos(2 pi k e / N) at an irreducible and is unipotent at a reducible
-    W = np.array([[chebyshev(op.sym_degree,
-                             eps * (phase_cos(Fraction(beta.k * op.exponent, T.N))
-                                    if beta.kind == "irreducible" else 2.0))
-                   for (op,) in ops] for beta in chars])
+    W = np.array([[chebyshev(d, eps * (phase_cos(Fraction(beta.k * e, T.N))
+                                       if beta.kind == "irreducible" else 2.0))
+                   for e, d in E.tolist()] for beta in chars])
     S = _s_matrix([(W, None)])
     actions = tuple(torus_bundle.central_reps(T))
     twists = tuple(cs[0] - c for c in cs)
-    return _assemble(T.tag(), T, chars, labels, cs, twists, tors, ops, eps, S, None, actions)
+    return _assemble(T.tag(), T, None, labels, RationalPhase.residues(cs), twists, tors,
+                     (("x",), E[:, :1], E[:, 1:]), eps, S, None, actions)
 
 
 @dataclass(frozen=True)
@@ -258,8 +254,9 @@ def admissibility_report(C: CandidateData, tol: float | None = None) -> Admissib
     tol = comparison_tolerance() if tol is None else tol
     inv2tor = 1.0 / (2.0 * C.torsions)
     total = float(inv2tor.sum())
-    gauss = abs(sum(cmath.exp(-2j * math.pi * (c.numerator / c.denominator)) * w
-                    for c, w in zip(C.cs, inv2tor)))
+    # x / L is the double of the reduced phase too: division rounds correctly
+    cs, L = C.cs_residues, C.cs_den
+    gauss = abs(sum(cmath.exp(-2j * math.pi * (x / L)) * w for x, w in zip(cs.tolist(), inv2tor)))
     unit = 0
     classification = tuple(
         "bosonic" if act.is_bosonic else "fermionic" if act.is_fermionic else "neither"
@@ -268,7 +265,7 @@ def admissibility_report(C: CandidateData, tol: float | None = None) -> Admissib
     g0 = []
     for act in C.central_actions:
         img = act.permutation[unit]
-        if C.cs[img] == C.cs[unit] and abs(C.torsions[img] - C.torsions[unit]) <= tol * C.torsions[unit]:
+        if cs[img] == cs[unit] and abs(C.torsions[img] - C.torsions[unit]) <= tol * C.torsions[unit]:
             g0.append(act)
     s_X = sorted({act.permutation[unit] for act in g0})
     s_L = math.sqrt(2) if any(act.is_fermionic for act in g0) else 1.0
@@ -308,7 +305,8 @@ def certify(C: CandidateData, D: ModularData, tol: float | None = None) -> Certi
     if C.rank != D.rank:
         raise ValueError(f"rank mismatch: candidate {C.rank}, reference {D.rank}")
     ds = float(np.abs(C.data.s_tilde - D.s_tilde).max())
-    tw = bool(C.data.twists == D.twists)
+    # a / d == b / e exactly when a e == b d; both products stay below d e < 2^62
+    tw = not (C.data.twist_residues * D.twist_den - D.twist_residues * C.data.twist_den).any()
     dd = float(np.abs(C.data.dims - D.dims).max())
     dD2 = float(abs(C.data.total_dim_sq - D.total_dim_sq))
     passed = bool(ds < tol * max(1.0, float(np.abs(D.s_tilde).max())) and tw

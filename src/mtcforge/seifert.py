@@ -121,13 +121,21 @@ def _character(ns: list[list[Fraction]], j: tuple[int, int, int]) -> SfsCharacte
     return SfsCharacter(j, lam, tuple(n[jk] for n, jk in zip(ns, j)))
 
 
-def enumerate_characters(M: SeifertData) -> list[SfsCharacter]:
-    """All non-Abelian characters: even-degree block then odd, lexicographic."""
+def _degree_rows(M: SeifertData) -> np.ndarray:
+    """Degree rows of all characters, int64 (rank, 3): even block, then odd, each lexicographic."""
     evens = [range(0, f.p - 1, 2) for f in M.fibers]
     odds = [range(1, f.p - 1, 2) for f in M.fibers]
-    js = list(product(*evens)) + list(product(*odds))
+    return np.array([*product(*evens), *product(*odds)], dtype=np.int64)
+
+
+def _characters(M: SeifertData, J: np.ndarray) -> list[SfsCharacter]:
     ns = _n_tables(M)
-    return [_character(ns, j) for j in js]
+    return [_character(ns, j) for j in map(tuple, J.tolist())]
+
+
+def enumerate_characters(M: SeifertData) -> list[SfsCharacter]:
+    """All non-Abelian characters, in the order of _degree_rows."""
+    return _characters(M, _degree_rows(M))
 
 
 def character_count(M: SeifertData) -> int:
@@ -174,22 +182,6 @@ def torsion(M: SeifertData, chi: SfsCharacter) -> float:
     return float(_label_tables(M, np.array([chi.j]))[3][0])
 
 
-def quantum_dimension(M: SeifertData, chi: SfsCharacter) -> float:
-    """Signed product of the per-fiber Kauffman quantum dimensions."""
-    out = 1.0
-    for f, jk in zip(M.fibers, chi.j):
-        out *= tlj_dim(f.A, jk)
-    return out
-
-
-def tlj_dim(A: RationalPhase, j: int) -> float:
-    """(-1)^j [j+1] at Kauffman variable e^{2*pi*i*A}."""
-    t = A.as_fraction()
-    denom = math.sin(2 * math.pi * float((2 * t) % 1))
-    num = math.sin(2 * math.pi * float((2 * (j + 1) * t) % 1))
-    return (-1) ** j * num / denom
-
-
 def z2_homology_sphere(M: SeifertData) -> bool:
     """True when q1 p2 p3 + p1 q2 p3 + p1 p2 q3 is odd."""
     p1, p2, p3 = M.p
@@ -215,25 +207,30 @@ def central_reps(M: SeifertData, chars: list[SfsCharacter] | None = None,
     Solves p_k s(x_k) + q_k s(h) = 0, s(x1)+s(x2)+s(x3) = 0 over F_2.
     Raises if a twist would carry a label outside the candidate set.
     """
-    if chars is None:
-        chars = enumerate_characters(M)
-    J = np.array([c.j for c in chars])
-    if cs_values is None:
-        _, cs, L, _ = _label_tables(M, J)
-        cs_values = [RationalPhase.of(x, L) for x in cs.tolist()]
+    J = _degree_rows(M) if chars is None else np.array([c.j for c in chars])
+    keys, cs, L, _ = _label_tables(M, J)
+    return _central_reps(M, keys, (cs, L) if cs_values is None else RationalPhase.residues(cs_values))
+
+
+def _central_reps(M: SeifertData, keys: np.ndarray, cs_values) -> list[CentralRep]:
+    """central_reps on the labels with central-rep keys `keys` (from
+    _label_tables) and CS values cs_values, a (residues, den) pair."""
+    shape = [f.p + 1 for f in M.fibers] + [2]
 
     def permute(sigma):
-        image = _label_tables(M, J)[0]
-        index = {key: i for i, key in enumerate(map(tuple, image.tolist()))}
+        codes = np.ravel_multi_index(keys.T, shape)
+        order = np.argsort(codes)
         # n_k -> (n_k + p_k/2) mod p_k, folded into [0, p_k/2]; lam -> lam + 1/2
+        image = keys.copy()
         image[:, 3] ^= sigma[3]
         for k, f in enumerate(M.fibers):
             if sigma[k]:
                 m = (image[:, k] + f.p) % (2 * f.p)
                 image[:, k] = np.minimum(m, 2 * f.p - m)
-        try:
-            return [index[key] for key in map(tuple, image.tolist())]
-        except KeyError:
-            raise ValueError(f"central twist {sigma} leaves the candidate label set") from None
+        want = np.ravel_multi_index(image.T, shape)
+        perm = order[np.searchsorted(codes, want, sorter=order) % len(codes)]
+        if not np.array_equal(codes[perm], want):
+            raise ValueError(f"central twist {sigma} leaves the candidate label set")
+        return perm
 
     return central_reps_mod2(relation_matrix_mod2(M), cs_values, permute)

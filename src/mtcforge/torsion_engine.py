@@ -10,7 +10,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg as sla
 
 from .algebra import DEFAULT_TOL
 
@@ -73,6 +72,7 @@ def _pivot_columns(M: np.ndarray, tol: float) -> list[int]:
     top = norms.max()
     if top == 0.0:
         return []
+    import scipy.linalg as sla  # the only scipy use: importing mtcforge does not load it
     _, R, perm = sla.qr(M, mode="economic", pivoting=True)
     diag = np.abs(np.diag(R))
     rank = int((diag > tol * top).sum())

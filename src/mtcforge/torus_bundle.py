@@ -266,4 +266,5 @@ def central_reps(T: TorusMonodromy) -> list[CentralRep]:
             raise ValueError(f"unexpected central representation {sigma}")
         return (1, 0) + tuple(range(2, len(chars)))
 
-    return central_reps_mod2(relation_matrix_mod2(T), [torus_cs(T, c) for c in chars], permute)
+    cs = RationalPhase.residues([torus_cs(T, c) for c in chars])
+    return central_reps_mod2(relation_matrix_mod2(T), cs, permute)

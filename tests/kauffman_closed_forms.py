@@ -1,0 +1,30 @@
+"""Closed forms of Kauffman-bracket quantities that the tests compare
+against: the per-fiber quantum dimensions of a Seifert character and the
+total dimension of the Kauffman data at A."""
+
+import math
+
+from mtcforge.algebra import RationalPhase, phase_sin
+
+
+def tlj_dim(A: RationalPhase, j: int) -> float:
+    """(-1)^j [j+1] at Kauffman variable e^{2*pi*i*A}."""
+    t = A.as_fraction()
+    denom = math.sin(2 * math.pi * float((2 * t) % 1))
+    num = math.sin(2 * math.pi * float((2 * (j + 1) * t) % 1))
+    return (-1) ** j * num / denom
+
+
+def quantum_dimension(M, chi) -> float:
+    """Signed product of the per-fiber Kauffman quantum dimensions."""
+    out = 1.0
+    for f, jk in zip(M.fibers, chi.j):
+        out *= tlj_dim(f.A, jk)
+    return out
+
+
+def total_dim(A_phase: RationalPhase) -> float:
+    """sqrt(2r)/|A^2 - A^-2| for the Kauffman data at A."""
+    t = A_phase.as_fraction()
+    r = RationalPhase.of(4 * t).order()
+    return math.sqrt(2 * r) / abs(2 * phase_sin(2 * t))

@@ -17,7 +17,6 @@ from mtcforge.algebra import (
     parity_exp_sum,
     parity_exp_sum_literal,
     parity_exp_sum_table,
-    phase_normalize,
 )
 
 
@@ -63,18 +62,16 @@ class TestChebyshev:
 
 class TestRationalPhase:
     def test_normalize_examples(self):
-        assert phase_normalize(-3, 16) == RationalPhase(13, 16)
-        assert phase_normalize(8, 16) == RationalPhase(1, 2)
-        assert phase_normalize(5, -10) == RationalPhase(1, 2)
+        assert RationalPhase.of(-3, 16) == RationalPhase(13, 16)
+        assert RationalPhase.of(8, 16) == RationalPhase(1, 2)
+        assert RationalPhase.of(5, -10) == RationalPhase(1, 2)
 
     def test_zero_denominator(self):
-        with pytest.raises(ValueError):
-            phase_normalize(1, 0)
         with pytest.raises(ZeroDivisionError):
             RationalPhase.of(1, 0)
 
     def test_to_complex_unit_modulus(self):
-        t = phase_normalize(5, 7)
+        t = RationalPhase.of(5, 7)
         z = t.to_complex()
         assert abs(abs(z) - 1) < 1e-12
         assert abs(z - cmath.exp(2j * math.pi * 5 / 7)) < 1e-12
@@ -83,8 +80,8 @@ class TestRationalPhase:
            st.integers(-10**6, 10**6), st.integers(1, 10**4))
     @settings(max_examples=300)
     def test_addition_exact(self, an, ad, bn, bd):
-        a = phase_normalize(an, ad)
-        b = phase_normalize(bn, bd)
+        a = RationalPhase.of(an, ad)
+        b = RationalPhase.of(bn, bd)
         assert (a + b) - b == a
         assert a + (-a) == RationalPhase(0, 1)
 
@@ -108,15 +105,24 @@ class TestRationalPhase:
         with pytest.raises(TypeError):
             a * x
 
+    # numerators over 720720 = lcm(1..16): reduced denominators of many sizes
+    @given(st.lists(st.integers(-10**7, 10**7), max_size=20))
+    @settings(max_examples=200)
+    def test_residues_round_trip(self, nums):
+        phases = [RationalPhase.of(n, 720720) for n in nums]
+        res, den = RationalPhase.residues(phases)
+        assert res.dtype == np.int64 and den == math.lcm(*(t.denominator for t in phases))
+        assert [RationalPhase.of(x, den) for x in res.tolist()] == phases
+
     def test_bulk_addition_exact(self):
         rng = np.random.default_rng(3)
         for _ in range(10_000):
-            a = phase_normalize(int(rng.integers(-999, 999)), int(rng.integers(1, 99)))
-            b = phase_normalize(int(rng.integers(-999, 999)), int(rng.integers(1, 99)))
+            a = RationalPhase.of(int(rng.integers(-999, 999)), int(rng.integers(1, 99)))
+            b = RationalPhase.of(int(rng.integers(-999, 999)), int(rng.integers(1, 99)))
             assert (a + b) - b == a
 
     def test_integer_scale(self):
-        t = phase_normalize(3, 8)
+        t = RationalPhase.of(3, 8)
         assert 4 * t == RationalPhase(1, 2)
         # 1 and 0 are the same phase, but 1 * 1/2 and 0 * 1/2 are not
         for x in (Fraction(2, 3), Fraction(1, 2), 0.5):
@@ -126,8 +132,8 @@ class TestRationalPhase:
                 x * t
 
     def test_order(self):
-        assert phase_normalize(2, 6).order() == 3
-        assert phase_normalize(0, 5).order() == 1
+        assert RationalPhase.of(2, 6).order() == 3
+        assert RationalPhase.of(0, 5).order() == 1
 
 
 class TestMod2:

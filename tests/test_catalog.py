@@ -1,9 +1,13 @@
+import dataclasses
 import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from kauffman_closed_forms import total_dim
 from mtcforge.algebra import RationalPhase
 from mtcforge.catalog import (
     ModularData,
@@ -16,7 +20,6 @@ from mtcforge.catalog import (
     soN2_adjoint,
     su2_level,
     tlj_data,
-    total_dim,
     verlinde_fusion,
 )
 
@@ -26,6 +29,14 @@ PHI = (1 - math.sqrt(5)) / 2  # the conjugate root
 
 def phase(num, den):
     return RationalPhase.of(Fraction(num, den))
+
+
+def graded_data():
+    """Kauffman data at A with A^4 of order >= 2, or a quantum SU(2) level."""
+    kauffman = st.integers(1, 40).flatmap(
+        lambda d: st.integers(0, d - 1).map(lambda n: RationalPhase.of(n, d)))
+    return st.one_of(kauffman.filter(lambda A: (4 * A).order() >= 2).map(tlj_data),
+                     st.integers(0, 8).map(su2_level))
 
 
 class TestKauffmanData:
@@ -217,6 +228,22 @@ class TestGradedProduct:
         assert not rep.is_modular
         assert "(2,4)" in rep.transparent_labels
 
+    @given(graded_data(), graded_data(), graded_data())
+    @settings(max_examples=60, deadline=None)
+    def test_matches_pair_loop(self, X, Y, Z):
+        # the label-pair loop and RationalPhase sums that the array form replaced
+        for P, Q in ((X, Y), (graded_product(X, Y), Z)):
+            D = graded_product(P, Q)
+            pairs = [(i, j) for g in (0, 1) for i in range(P.rank) if P.grading[i] == g
+                     for j in range(Q.rank) if Q.grading[j] == g]
+            assert D.labels == tuple(f"({P.labels[i]},{Q.labels[j]})" for i, j in pairs)
+            assert D.grading == tuple(P.grading[i] for i, _ in pairs)
+            assert D.twists == tuple(P.twists[i] + Q.twists[j] for i, j in pairs)
+            ii, jj = [i for i, _ in pairs], [j for _, j in pairs]
+            S = P.s_tilde[np.ix_(ii, ii)] * Q.s_tilde[np.ix_(jj, jj)]
+            assert D.s_tilde.tobytes() == S.tobytes()
+            assert D.dims.tobytes() == (P.dims[ii] * Q.dims[jj]).tobytes()
+
     def test_missing_grading_rejected(self):
         with pytest.raises(ValueError):
             graded_product(su2_level(2), soN2_adjoint(5, -7))
@@ -241,6 +268,25 @@ class TestVerlinde:
         with pytest.raises(ValueError):
             verlinde_fusion(soN2_adjoint(5, -7))
 
+    def test_matches_einsum_forms(self):
+        # the einsum forms of N and of the associativity defect, as reference
+        outs = [su2_level(k) for k in range(1, 7)] + [tlj_data(phase(1, 16)), tlj_data(phase(3, 28))]
+        outs += [graded_product(su2_level(m), su2_level(n)) for m, n in [(2, 3), (3, 6), (1, 4)]]
+        # Z_n fusion a x b = a + b: labels are not self-dual, so N is not symmetric
+        for n in (3, 5):
+            a = np.arange(n)
+            S = np.exp(2j * np.pi * np.outer(a, a) / n)
+            outs.append(ModularData(tuple(map(str, a)), np.ones(n), (a * a % n, n), S, float(n)))
+        for D in outs:
+            S = D.s_tilde / math.sqrt(D.total_dim_sq)
+            want = np.einsum("im,jm,km->ijk", S, S, S.conj() / S[0, :]).real
+            N = verlinde_fusion(D)
+            assert N.shape == want.shape and np.abs(N - want).max() < 1e-12
+            assoc = float(np.abs(np.einsum("ijm,mkl->ijkl", want, want)
+                                 - np.einsum("jkm,iml->ijkl", want, want)).max())
+            integ, got = fusion_defects(want)
+            assert abs(got - assoc) < 1e-12
+
 
 class TestHelpers:
     def test_reorder_roundtrip(self):
@@ -252,6 +298,21 @@ class TestHelpers:
         back = reorder(R, inv)
         assert back.labels == D.labels
         assert np.abs(back.s_tilde - D.s_tilde).max() == 0.0
+
+    def test_twists_from_residues(self):
+        D = su2_level(3)
+        # the same phases over unreduced denominators and out-of-range residues
+        for k, shift in [(1, 0), (5, 0), (1, -7), (3, 2)]:
+            res, den = (D.twist_residues + shift * D.twist_den) * k, D.twist_den * k
+            E = ModularData(D.labels, D.dims, (res, den), D.s_tilde, D.total_dim_sq, D.grading)
+            assert type(E.twists) is tuple and E.twists == D.twists
+            assert ((0 <= E.twist_residues) & (E.twist_residues < den)).all()
+            assert not E.twist_residues.flags.writeable and res.flags.writeable
+        with pytest.raises(ValueError, match="exceeds"):
+            ModularData(D.labels, D.dims, (D.twist_residues, 2**31), D.s_tilde, D.total_dim_sq)
+        # dataclasses.replace keeps the twists, or takes new ones as phases
+        assert dataclasses.replace(E, total_dim_sq=1.0).twists == D.twists
+        assert dataclasses.replace(E, twists=D.twists[:1] * 4).twists == (D.twists[0],) * 4
 
     def test_validate_catches_bad_data(self):
         D = su2_level(2)

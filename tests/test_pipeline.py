@@ -8,6 +8,7 @@ import pytest
 
 from mtcforge.algebra import RationalPhase
 from mtcforge.catalog import (
+    ModularData,
     find_transparent,
     graded_order_permutation,
     graded_product,
@@ -17,6 +18,7 @@ from mtcforge.catalog import (
     tlj_data,
 )
 from mtcforge.pipeline import (
+    LoopOperator,
     admissibility_report,
     certify,
     sfs_candidate,
@@ -24,8 +26,8 @@ from mtcforge.pipeline import (
     torus_candidate,
     w_symbol,
 )
-from mtcforge.seifert import make_sfs, z2_homology_sphere
-from mtcforge.torus_bundle import make_torus_bundle
+from mtcforge.seifert import enumerate_characters, make_sfs, z2_homology_sphere
+from mtcforge.torus_bundle import enumerate_torus_characters, make_torus_bundle, torus_cs
 
 
 def phase(num, den):
@@ -207,7 +209,8 @@ class TestAdmissibility:
             assert any(not act.is_trivial for act in C.central_actions), C.manifold_tag
             for act in C.central_actions:
                 perm = act.permutation
-                assert act.cs_diffs == tuple(C.cs[perm[i]] - C.cs[i] for i in range(C.rank))
+                diffs = tuple(RationalPhase.of(x, act.cs_den) for x in act.cs_diffs.tolist())
+                assert diffs == tuple(C.cs[perm[i]] - C.cs[i] for i in range(C.rank))
             classes = admissibility_report(C).central_classification
             for act, cls in zip(C.central_actions, classes, strict=True):
                 want = ("bosonic" if act.is_bosonic else
@@ -244,6 +247,46 @@ class TestCertify:
         wrong = reorder(ref, [0, 2, 1])
         cert = certify(C, wrong)
         assert not cert.passed and not cert.twists_equal
+
+    def test_twists_compared_exactly_across_denominators(self):
+        for pairs in ([(3, 1), (3, 2), (5, 4)], [(5, 2), (7, 4), (4, 3)], [(2, 1), (3, 1), (4, 1)]):
+            C = sfs_candidate(make_sfs(pairs))
+            D, L = C.data, C.data.twist_den
+
+            def with_twists(res, den):
+                return ModularData(D.labels, D.dims, (res, den), D.s_tilde, D.total_dim_sq)
+
+            # the same phases over unreduced denominators, and as reduced phases
+            for k in (2, 3, 7):
+                assert certify(C, with_twists(D.twist_residues * k, L * k)).twists_equal
+            reduced = ModularData(D.labels, D.dims, D.twists, D.s_tilde, D.total_dim_sq)
+            assert certify(C, reduced).twists_equal
+            for i in (1, C.rank - 1):
+                off = D.twist_residues.copy()
+                off[i] = (off[i] + 1) % L
+                assert not certify(C, with_twists(off, L)).twists_equal
+                assert not certify(C, with_twists(off * 3, L * 3)).twists_equal
+
+
+class TestLazyViews:
+    def test_reseated_views(self):
+        for r in range(2, 13):
+            M = make_sfs([(3, 1), (3, 1), (r, 1)])
+            C = sfs_candidate(M, unit="reseated")
+            by_j = {c.j[2]: c for c in enumerate_characters(M)}
+            assert C.characters == tuple(by_j[r - 2 - j] for j in range(r - 1))
+            assert C.loop_ops == tuple((LoopOperator("x3", 1, j),) for j in range(r - 1))
+
+    def test_torus_views(self):
+        for mono in [(2, 1, 1, 1), (4, 1, 3, 1), (6, 1, 5, 1), (-10, 9, -19, 17)]:
+            T = make_torus_bundle(*mono)
+            C = torus_candidate(T)
+            chars = enumerate_torus_characters(T)
+            assert C.characters == tuple(chars)
+            assert C.cs == tuple(torus_cs(T, c) for c in chars)
+            assert C.loop_ops == tuple(
+                (LoopOperator("x", T.m * c.k, 1),) if c.kind == "irreducible"
+                else (LoopOperator("x", 1, 0),) for c in chars)
 
 
 class TestConcurrency:

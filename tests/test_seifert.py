@@ -3,20 +3,21 @@ from fractions import Fraction
 from itertools import combinations_with_replacement
 from math import gcd
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from kauffman_closed_forms import quantum_dimension, total_dim
 from mtcforge.algebra import PHASE_HALF, PHASE_ZERO, RationalPhase, mod2_rank
-from mtcforge.catalog import total_dim
-from mtcforge.pipeline import sfs_candidate
+from mtcforge.catalog import graded_product, tlj_data
+from mtcforge.pipeline import LoopOperator, sfs_candidate
 from mtcforge.seifert import (
     central_reps,
     cs_invariant,
     character_count,
     enumerate_characters,
     make_sfs,
-    quantum_dimension,
     relation_matrix_mod2,
     torsion,
     z2_homology_sphere,
@@ -248,6 +249,44 @@ class TestIntegerCandidate:
             assert rep.permutation == tuple(
                 index[fraction_action(M, chi, rep.sigma)] for chi in chars)
 
+    @given(st.tuples(coprime_pair(19), coprime_pair(19), coprime_pair(19)))
+    @settings(max_examples=30, deadline=None)
+    def test_residues_match_phase_arithmetic(self, pairs):
+        M = make_sfs(pairs)
+        C = sfs_candidate(M)
+
+        def phases(res, den):
+            assert res.dtype == np.int64 and ((0 <= res) & (res < den)).all()
+            return [RationalPhase.of(x, den) for x in res.tolist()]
+
+        cs = [cs_from_rotation_numbers(M, chi) for chi in enumerate_characters(M)]
+        assert phases(C.cs_residues, C.cs_den) == cs
+        assert phases(C.data.twist_residues, C.data.twist_den) == [cs[0] - c for c in cs]
+        for rep in C.central_actions:
+            assert phases(rep.cs_diffs, rep.cs_den) == [cs[j] - c for j, c in zip(rep.permutation, cs)]
+        # the reference's graded products, against phase sums over the label pairs
+        X, Y, Z = (tlj_data(f.A) for f in M.fibers)
+        for P, Q in ((X, Y), (graded_product(X, Y), Z)):
+            D = graded_product(P, Q)
+            pairs = [(i, j) for g in (0, 1) for i in range(P.rank) if P.grading[i] == g
+                     for j in range(Q.rank) if Q.grading[j] == g]
+            assert phases(D.twist_residues, D.twist_den) == [P.twists[i] + Q.twists[j]
+                                                             for i, j in pairs]
+
+    @given(st.tuples(coprime_pair(19), coprime_pair(19), coprime_pair(19)))
+    @settings(max_examples=30, deadline=None)
+    def test_lazy_views_match_scalar_forms(self, pairs):
+        M = make_sfs(pairs)
+        C = sfs_candidate(M)
+        chars = enumerate_characters(M)
+        assert C.characters == tuple(chars)
+        assert C.cs == tuple(cs_invariant(M, chi) for chi in chars)
+        # the per-label loop operators that the candidate used to build eagerly
+        assert C.loop_ops == tuple(
+            tuple(LoopOperator(f"x{k + 1}", M.fibers[k].c, c.j[k]) for k in range(3))
+            for c in chars)
+        assert C.characters is C.characters and C.loop_ops is C.loop_ops
+
 
 class TestTorsion:
     def test_derived_example(self):
@@ -321,11 +360,18 @@ class TestCentralReps:
         reps = central_reps(M)
         triv = next(r for r in reps if r.is_trivial)
         assert triv.permutation == tuple(range(character_count(M)))
-        assert all(d == PHASE_ZERO for d in triv.cs_diffs)
+        assert not triv.cs_diffs.any()
 
     def test_non_sphere_has_nontrivial(self):
         reps = central_reps(make_sfs([(3, 1), (3, 1), (3, 2)]))
         assert len(reps) >= 2
+
+    def test_twist_leaving_label_set_raises(self):
+        M = make_sfs([(3, 1), (3, 1), (3, 2)])
+        chars = enumerate_characters(M)
+        for part in (chars[1:], chars[:-1]):
+            with pytest.raises(ValueError, match="leaves the candidate label set"):
+                central_reps(M, part)
 
     def test_action_stays_in_label_set(self):
         for M in small_sweep(6):

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -162,3 +167,19 @@ class TestMultiplicativity:
         sub = doubling_complex()
         with pytest.raises(ValueError):
             multiplicativity_check(sub, sub, sub)
+
+
+def test_package_import_leaves_scipy_unloaded():
+    # scipy serves only the pivoted QR of the torsion oracle, imported on first use
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
+    code = ("import sys\n"
+            "import numpy as np\n"
+            "import mtcforge, mtcforge.cli\n"
+            "assert 'scipy' not in sys.modules\n"
+            "mtcforge.chain_torsion(mtcforge.BasedChainComplex((1, 1), (np.array([[2.0]]),)))\n"
+            "assert 'scipy' in sys.modules\n")
+    proc = subprocess.run([sys.executable, "-c", code], cwd=root, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
