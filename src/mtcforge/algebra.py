@@ -220,7 +220,7 @@ def mod2_span(basis: list[np.ndarray], width: int | None = None) -> list[np.ndar
     return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CentralRep:
     """A homomorphism to the center, recorded as F_2 exponents on the
     generators, with the permutation it induces on the character list and

@@ -19,7 +19,7 @@ import numpy as np
 from .algebra import RationalPhase, comparison_tolerance, phase_sin
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ModularData:
     """Label set with quantum dimensions, exact twists, un-normalized S-matrix
     (unit row/column first, S[0,0] = 1), total dimension squared, and an

@@ -49,7 +49,7 @@ class LoopOperator:
     sym_degree: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CandidateData:
     """Residue contract: label i has Chern-Simons value cs_residues[i] / cs_den
     in Q/Z and loop operators op_generators[k]^op_exponents[i, k] of degree
@@ -178,8 +178,8 @@ def _fiber_traces(f: seifert.SeifertFiber, e: int) -> np.ndarray:
 def _sfs_assemble(M: SeifertData, tag, J, labels, S, ops, grading) -> CandidateData:
     """The characters with degree rows J, with exact CS values mod L =
     lcm(4 p_k), twists cs[0] - cs, torsions and central actions."""
-    keys, cs, L, tors = seifert._label_tables(M, J)
-    actions = tuple(seifert._central_reps(M, keys, (cs, L)))
+    cs, L, tors = seifert._label_tables(M, J)
+    actions = tuple(seifert._central_reps(M, J, (cs, L)))
     return _assemble(tag, M, J, labels, (cs, L), ((cs[0] - cs) % L, L), tors, ops, -1, S,
                      grading, actions)
 

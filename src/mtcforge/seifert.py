@@ -153,33 +153,31 @@ def _validate(M: SeifertData, chi: SfsCharacter) -> None:
 
 def _label_tables(M: SeifertData, J: np.ndarray):
     """Integer data of the characters with degree rows J, gathered from
-    per-fiber tables indexed by degree: the central-rep keys
-    (2n_1, 2n_2, 2n_3, 2 lam), the CS values as int64 residues mod
+    per-fiber tables indexed by degree: the CS values as int64 residues mod
     L = lcm(4 p_k), L itself, and the torsions."""
     L = math.lcm(*(4 * f.p for f in M.fibers))
-    keys, cs, tors = [], 0, 1.0
+    cs, tors = 0, 1.0
     for f, j in zip(M.fibers, J.T):
         n2 = [_twice_n(f, i) for i in range(f.rank)]
-        keys.append(np.array(n2)[j])
         # -c (i+1)^2 / (4p) depends on c mod 4p only, so no residue exceeds L
         cs = cs + np.array([(-f.c * (i + 1) ** 2) % (4 * f.p) * (L // (4 * f.p))
                             for i in range(f.rank)], dtype=np.int64)[j]
         s = np.array([math.sin(2 * math.pi * ((f.r * m) % (2 * f.p) / 2) / f.p) for m in n2])
         tors = tors * (f.p / (4 * s * s))[j]
-    return np.column_stack(keys + [(J[:, 0] + 1) % 2]), cs % L, L, tors
+    return cs % L, L, tors
 
 
 def cs_invariant(M: SeifertData, chi: SfsCharacter) -> RationalPhase:
     """Chern-Simons value sum_k -c_k (j_k+1)^2 / (4 p_k) mod 1, exact."""
     _validate(M, chi)
-    _, cs, L, _ = _label_tables(M, np.array([chi.j]))
+    cs, L, _ = _label_tables(M, np.array([chi.j]))
     return RationalPhase.of(int(cs[0]), L)
 
 
 def torsion(M: SeifertData, chi: SfsCharacter) -> float:
     """Adjoint torsion p1 p2 p3 / prod_k 4 sin^2(2 pi r_k n_k / p_k)."""
     _validate(M, chi)
-    return float(_label_tables(M, np.array([chi.j]))[3][0])
+    return float(_label_tables(M, np.array([chi.j]))[2][0])
 
 
 def z2_homology_sphere(M: SeifertData) -> bool:
@@ -208,16 +206,19 @@ def central_reps(M: SeifertData, chars: list[SfsCharacter] | None = None,
     Raises if a twist would carry a label outside the candidate set.
     """
     J = _degree_rows(M) if chars is None else np.array([c.j for c in chars])
-    keys, cs, L, _ = _label_tables(M, J)
-    return _central_reps(M, keys, (cs, L) if cs_values is None else RationalPhase.residues(cs_values))
+    cs = _label_tables(M, J)[:2] if cs_values is None else RationalPhase.residues(cs_values)
+    return _central_reps(M, J, cs)
 
 
-def _central_reps(M: SeifertData, keys: np.ndarray, cs_values) -> list[CentralRep]:
-    """central_reps on the labels with central-rep keys `keys` (from
-    _label_tables) and CS values cs_values, a (residues, den) pair."""
+def _central_reps(M: SeifertData, J: np.ndarray, cs_values) -> list[CentralRep]:
+    """central_reps on the labels with degree rows J and CS values cs_values,
+    a (residues, den) pair.  The keys (2n_1, 2n_2, 2n_3, 2 lam) of the labels
+    are built inside each nontrivial twist only: a Z2-homology sphere has none."""
     shape = [f.p + 1 for f in M.fibers] + [2]
 
     def permute(sigma):
+        keys = np.column_stack([np.array([_twice_n(f, i) for i in range(f.rank)])[j]
+                                for f, j in zip(M.fibers, J.T)] + [(J[:, 0] + 1) % 2])
         codes = np.ravel_multi_index(keys.T, shape)
         order = np.argsort(codes)
         # n_k -> (n_k + p_k/2) mod p_k, folded into [0, p_k/2]; lam -> lam + 1/2

@@ -5,6 +5,8 @@ and the command-line `verify` command both run these.
 
 from __future__ import annotations
 
+import gc
+import inspect
 import itertools
 import random
 import time
@@ -78,8 +80,13 @@ class SweepRecord:
 def sfs_sweep_records(max_p: int = 9) -> tuple[SweepRecord, ...]:
     """One pass over the sweep computing certification, modularity, and
     admissibility data per manifold; consumed by several suites."""
+    return sfs_records(sfs_sweep_instances(max_p))
+
+
+def sfs_records(triples) -> tuple[SweepRecord, ...]:
+    """The sweep records of the given triples, in order: a chunk of the sweep."""
     out = []
-    for pairs in sfs_sweep_instances(max_p):
+    for pairs in triples:
         M = make_sfs(pairs)
         C = sfs_candidate(M)
         ref = graded_product(graded_product(tlj_data(M.fibers[0].A), tlj_data(M.fibers[1].A)),
@@ -114,6 +121,19 @@ def supported_monodromies(max_N: int = 13, bound: int = 20) -> list[tuple[int, i
                 if abs(c) <= bound and gcd(c, N) == 1:
                     out.append((a, b, c, d))
     return sorted(out)
+
+
+def torus_records(monodromies) -> tuple[tuple, ...]:
+    """(monodromy, certificate against the level-two catalog, transparency
+    report, admissibility report) per supported monodromy, in order; consumed
+    by the torus-son2 and admissibility suites."""
+    out = []
+    for mono in monodromies:
+        T = make_torus_bundle(*mono)
+        C = torus_candidate(T)
+        out.append((mono, certify(C, soN2_adjoint(T.N, T.m)), find_transparent(C.data),
+                    admissibility_report(C)))
+    return tuple(out)
 
 
 # --- individual suites -----------------------------------------------------
@@ -154,10 +174,10 @@ def suite_rank6_table() -> SuiteResult:
                        {"s_error": errS, "t_error": errT, "seconds": elapsed})
 
 
-def suite_sfs_tlj(max_p: int = 9) -> SuiteResult:
+def suite_sfs_tlj(max_p: int = 9, *, records=None) -> SuiteResult:
     """Every sweep candidate equals the graded product of its three Kauffman
     data sets entrywise, with exact twists."""
-    records = sfs_sweep_records(max_p)
+    records = sfs_sweep_records(max_p) if records is None else records
     failures = [f"{r.pairs}: max |dS| = {r.max_s_delta:.2e}"
                 for r in records if not r.certified]
     return SuiteResult("sfs-tlj", "candidate S/T equals graded Kauffman product",
@@ -165,7 +185,7 @@ def suite_sfs_tlj(max_p: int = 9) -> SuiteResult:
                        {"max_s_delta": max(r.max_s_delta for r in records)})
 
 
-def suite_modularity_dichotomy(max_p: int = 9) -> SuiteResult:
+def suite_modularity_dichotomy(max_p: int = 9, *, records=None) -> SuiteResult:
     """Candidate is modular exactly when the manifold is a Z2-homology
     sphere, for every manifold with at most one p = 2 fiber; includes the
     rank-8 (5,1),(3,2),(5,4) instance.
@@ -175,7 +195,7 @@ def suite_modularity_dichotomy(max_p: int = 9) -> SuiteResult:
     mod-2 cohomology acts trivially on every character), so those instances
     are instead required to be flagged inadmissible.
     """
-    records = sfs_sweep_records(max_p)
+    records = sfs_sweep_records(max_p) if records is None else records
     failures = []
     exceptional = 0
     for r in records:
@@ -241,24 +261,18 @@ def suite_su2_realizations(max_r: int = 12) -> SuiteResult:
                        not failures, cases, failures)
 
 
-def suite_torus_son2(max_N: int = 13, bound: int = 20) -> SuiteResult:
+def suite_torus_son2(max_N: int = 13, bound: int = 20, *, torus=None) -> SuiteResult:
     """Every supported monodromy certifies against the orthogonal level-two
     adjoint data at m = -2c~-N, with exactly one non-unit transparent label."""
     failures = []
-    monos = supported_monodromies(max_N, bound)
-    for (a, b, c, d) in monos:
-        T = make_torus_bundle(a, b, c, d)
-        C = torus_candidate(T)
-        ref = soN2_adjoint(T.N, T.m)
-        cert = certify(C, ref)
+    torus = torus_records(supported_monodromies(max_N, bound)) if torus is None else torus
+    for mono, cert, rep, _ in torus:
         if not cert.passed:
-            failures.append(f"{(a, b, c, d)}: dS={cert.max_s_delta:.2e}")
-            continue
-        rep = find_transparent(C.data)
-        if rep.is_modular or tuple(rep.transparent_labels) != ("rho+", "rho-"):
-            failures.append(f"{(a, b, c, d)}: transparent={rep.transparent_labels}")
+            failures.append(f"{mono}: dS={cert.max_s_delta:.2e}")
+        elif rep.is_modular or rep.transparent_labels != ("rho+", "rho-"):
+            failures.append(f"{mono}: transparent={rep.transparent_labels}")
     return SuiteResult("torus-son2", "torus candidates match the level-two catalog",
-                       not failures, len(monos), failures[:20])
+                       not failures, len(torus), failures[:20])
 
 
 def suite_torsion_oracle(max_N: int = 13, min_pairs: int = 20) -> SuiteResult:
@@ -272,9 +286,11 @@ def suite_torsion_oracle(max_N: int = 13, min_pairs: int = 20) -> SuiteResult:
     for N in range(5, max_N + 1, 2):
         for mono in [m for m in monos if m[0] + m[3] + 2 == N][:2]:
             picked.append(mono)
-    # warm caches (lazy linear-algebra setup) so per-evaluation times are honest
+    # warm caches (lazy linear-algebra setup) and collect earlier suites' garbage, so
+    # per-evaluation times are honest: a full collection mid-loop takes 20-30 ms
     T0 = make_torus_bundle(*picked[0])
     chain_torsion(build_adjoint_complex(T0, enumerate_torus_characters(T0)[0]))
+    gc.collect()
     for (a, b, c, d) in picked:
         T = make_torus_bundle(a, b, c, d)
         for chi in enumerate_torus_characters(T):
@@ -298,7 +314,7 @@ def suite_torsion_oracle(max_N: int = 13, min_pairs: int = 20) -> SuiteResult:
                        {"max_ms": slow * 1e3})
 
 
-def suite_admissibility(max_p: int = 9, max_N: int = 13) -> SuiteResult:
+def suite_admissibility(max_p: int = 9, max_N: int = 13, *, records=None, torus=None) -> SuiteResult:
     """Both admissibility sums, on the scope where they provably hold.
 
     Asserted: sum 1/(2Tor) = 1 for every Seifert candidate with at most one
@@ -308,7 +324,7 @@ def suite_admissibility(max_p: int = 9, max_N: int = 13) -> SuiteResult:
     sector) are flagged inadmissible rather than passed.
     """
     failures = []
-    records = sfs_sweep_records(max_p)
+    records = sfs_sweep_records(max_p) if records is None else records
     for r in records:
         if r.two_fiber_count >= 2:
             if r.admissible:
@@ -321,19 +337,16 @@ def suite_admissibility(max_p: int = 9, max_N: int = 13) -> SuiteResult:
         if r.z2_sphere:
             if abs(r.gauss_modulus - r.target_modulus) > 1e-9 or not r.admissible:
                 failures.append(f"{r.pairs}: gauss {r.gauss_modulus} target {r.target_modulus}")
-    n_torus = 0
-    for (a, b, c, d) in supported_monodromies(max_N, 20):
-        T = make_torus_bundle(a, b, c, d)
-        adm = admissibility_report(torus_candidate(T))
-        n_torus += 1
+    torus = torus_records(supported_monodromies(max_N, 20)) if torus is None else torus
+    for (a, b, c, d), _, _, adm in torus:
         if abs(adm.sum_inverse_2tor - 1.0) > 1e-9:
             failures.append(f"{(a, b, c, d)}: sum {adm.sum_inverse_2tor}")
-        if abs(adm.gauss_sum_modulus - 1.0 / sqrt(T.N)) > 1e-9 or not adm.admissible:
+        if abs(adm.gauss_sum_modulus - 1.0 / sqrt(a + d + 2)) > 1e-9 or not adm.admissible:
             failures.append(f"{(a, b, c, d)}: gauss {adm.gauss_sum_modulus} != 1/sqrt(N)")
         if adm.s_X != ("rho+", "rho-") or adm.s_L != 1.0:
             failures.append(f"{(a, b, c, d)}: s(X)={adm.s_X} s_L={adm.s_L}")
     return SuiteResult("admissibility", "sum and Gauss-sum targets on the provable scope",
-                       not failures, len(records) + n_torus, failures[:20])
+                       not failures, len(records) + len(torus), failures[:20])
 
 
 def suite_lemma_sums(max_p: int = 50, seed: int = 0) -> SuiteResult:
@@ -382,7 +395,7 @@ def suite_su2_parity(max_level: int = 6) -> SuiteResult:
                        not failures, cases, failures)
 
 
-def _modular_outputs(max_p: int = 9, rank_cap: int = 24):
+def _modular_outputs(max_p: int = 9, rank_cap: int = 24, records=None):
     """Modular data sets named by the realization and product criteria."""
     outs: list[tuple[str, ModularData]] = []
     for r in range(2, 13):
@@ -397,18 +410,18 @@ def _modular_outputs(max_p: int = 9, rank_cap: int = 24):
     # modular sweep outputs = the Z2-homology spheres (the >= 2-twos family
     # can be trivially non-degenerate but its label set is inadmissible and
     # carries the wrong total dimension)
-    for rec in sfs_sweep_records(max_p):
+    for rec in sfs_sweep_records(max_p) if records is None else records:
         if rec.modular and rec.z2_sphere and rec.rank <= rank_cap \
                 and rec.pairs != ((3, 2), (5, 1), (5, 4)):
             outs.append((str(rec.pairs), sfs_candidate(make_sfs(rec.pairs)).data))
     return outs
 
 
-def suite_verlinde(max_p: int = 9, rank_cap: int = 24) -> SuiteResult:
+def suite_verlinde(max_p: int = 9, rank_cap: int = 24, *, records=None) -> SuiteResult:
     """Verlinde fusion of every named modular output: coefficients are
     nonnegative integers and fusion is associative."""
     failures = []
-    outs = _modular_outputs(max_p, rank_cap)
+    outs = _modular_outputs(max_p, rank_cap, records)
     for name, D in outs:
         try:
             N = verlinde_fusion(D)
@@ -439,25 +452,28 @@ ALL_SUITES = {
 }
 
 
+def passes(names) -> set[str]:
+    """The shared passes the named suites read: "records" (the SFS sweep), "torus"."""
+    return {p for n in names for p in inspect.signature(ALL_SUITES[n]).parameters
+            if p in ("records", "torus")}
+
+
 def run_suites(names=None, *, max_p: int = 9, max_N: int = 13, max_level: int = 6,
-               lemma_max_p: int = 50, seed: int = 0) -> list[SuiteResult]:
-    """Run the named suites (all by default) with shared bounds."""
+               lemma_max_p: int = 50, seed: int = 0, records=None, torus=None) -> list[SuiteResult]:
+    """Run the named suites (all by default).  Each suite gets the bounds and
+    passes that its signature names, lemma-sums lemma_max_p as its max_p.  A
+    pass that is not given is computed once, for the first suite that reads it."""
     names = list(ALL_SUITES) if not names else list(names)
-    kwargs = {
-        "rank6-table": {},
-        "sfs-tlj": {"max_p": max_p},
-        "sfs-modularity": {"max_p": max_p},
-        "su2-realizations": {},
-        "torus-son2": {"max_N": max_N},
-        "torsion-oracle": {"max_N": max_N},
-        "admissibility": {"max_p": max_p, "max_N": max_N},
-        "lemma-sums": {"max_p": lemma_max_p, "seed": seed},
-        "su2-parity": {"max_level": max_level},
-        "verlinde": {"max_p": max_p},
-    }
     out = []
     for name in names:
         if name not in ALL_SUITES:
             raise ValueError(f"unknown suite {name!r}; choose from {sorted(ALL_SUITES)}")
-        out.append(ALL_SUITES[name](**kwargs[name]))
+        params = inspect.signature(ALL_SUITES[name]).parameters
+        if records is None and "records" in params:
+            records = sfs_sweep_records(max_p)
+        if torus is None and "torus" in params:
+            torus = torus_records(supported_monodromies(max_N, 20))
+        kwargs = dict(max_p=lemma_max_p if name == "lemma-sums" else max_p, max_N=max_N,
+                      max_level=max_level, seed=seed, records=records, torus=torus)
+        out.append(ALL_SUITES[name](**{k: v for k, v in kwargs.items() if k in params}))
     return out

@@ -237,12 +237,36 @@ class TestVerifyCommand:
         assert code == 0
         assert out.count("[PASS]") == 2
 
+    def test_parallel_json_equals_serial(self):
+        # the wall-clock fields and the wall-clock gates' verdicts aside
+        def normal(out):
+            payload = json.loads(out)
+            for suite in payload["suites"]:
+                for key in ("seconds", "max_ms"):
+                    suite["details"].pop(key, None)
+                suite["failures"] = [f for f in suite["failures"]
+                                     if not f.startswith(("runtime ", "slowest evaluation "))]
+                suite["passed"] = not suite["failures"]
+            payload["passed"] = all(s["passed"] for s in payload["suites"])
+            return payload
+
+        argv = ["verify", "--max-p", "4", "--max-N", "9", "--max-level", "2",
+                "--lemma-max-p", "8", "--seed", "3", "--format", "json"]
+        _, out1, _ = run_cli(argv + ["--jobs", "1"])
+        _, out2, _ = run_cli(argv + ["--jobs", "2"])
+        serial = normal(out1)
+        assert [s["name"] for s in serial["suites"]] == list(cli.suites.ALL_SUITES)
+        assert all(s["passed"] for s in serial["suites"])
+        assert normal(out2) == serial
+
     def test_torus_floor_applies_to_the_oracle_only(self):
         code, out, _ = run_cli(["verify", "--suite", "torus-son2", "--max-N", "7"])
         assert code == 0 and "[PASS] torus-son2" in out
 
     def test_jobs_clamped_to_suite_count(self, monkeypatch):
         # the pool forks all max_workers at once; it must never exceed the suites
+        from concurrent.futures import Future
+
         import mtcforge.cli as cli
         seen = []
 
@@ -259,11 +283,55 @@ class TestVerifyCommand:
             def map(self, fn, jobs):
                 return map(fn, jobs)
 
+            def submit(self, fn, *args, **kwargs):
+                future = Future()
+                future.set_result(fn(*args, **kwargs))
+                return future
+
         monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
         code, out, _ = run_cli(["verify", "--suite", "rank6-table",
                                 "--suite", "su2-parity", "--jobs", "64"])
         assert code == 0 and out.count("[PASS]") == 2
         assert seen == [2]
+
+    def test_parallel_suites_see_the_serial_passes(self, monkeypatch):
+        # chunks are submitted largest first; the suites must still get the
+        # passes in sweep order
+        from concurrent.futures import Future
+
+        from mtcforge import suites
+
+        class InlinePool:
+            def __init__(self, max_workers):
+                pass
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def submit(self, fn, *args, **kwargs):
+                future = Future()
+                future.set_result(fn(*args, **kwargs))
+                return future
+
+        seen = {}
+        run_suites = suites.run_suites
+
+        def spy(names, **kwargs):
+            seen.update({n: (kwargs.get("records"), kwargs.get("torus")) for n in names})
+            return run_suites(names, **kwargs)
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", InlinePool)
+        monkeypatch.setattr(suites, "run_suites", spy)
+        code, _, _ = run_cli(["verify", "--suite", "sfs-tlj", "--suite", "torus-son2",
+                              "--suite", "verlinde", "--max-p", "4", "--max-N", "9", "--jobs", "3"])
+        assert code == 0
+        records = suites.sfs_sweep_records(4)
+        torus = suites.torus_records(suites.supported_monodromies(9, 20))
+        assert seen["verlinde"][0] == records
+        assert seen["sfs-tlj"] == seen["torus-son2"] == (records, torus)
 
 
 class TestToleranceOverride:

@@ -310,6 +310,21 @@ class TestConcurrency:
             assert t1 == t2
 
 
+class TestIdentityEquality:
+    def test_array_carrying_types_compare_by_identity(self):
+        # their ndarray fields have no truth value, so == is identity
+        from mtcforge import catalog
+        catalog.su2_level.cache_clear()
+        D = su2_level(3)
+        catalog.su2_level.cache_clear()
+        M = make_sfs([(3, 1), (3, 1), (3, 2)])
+        C1, C2 = sfs_candidate(M), sfs_candidate(M)
+        for a, b in ((D, su2_level(3)), (C1, C2), (C1.central_actions[1], C2.central_actions[1])):
+            assert a is not b
+            assert a == a and not a != a
+            assert not a == b and a != b
+
+
 class TestDiagnostics:
     def test_modular_group_relations_near_zero_for_modular_data(self):
         # for these realizations the relations hold on the nose

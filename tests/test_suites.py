@@ -1,0 +1,65 @@
+"""The shared passes behind the suites: chunked passes equal the whole pass,
+and one run_suites call builds each pass once."""
+
+from dataclasses import replace
+
+import pytest
+
+from mtcforge import cli, suites
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 7, 64])
+def test_sfs_chunks_concatenate_to_the_sweep(n):
+    whole = suites.sfs_sweep_records(5)
+    chunks = cli._chunks(suites.sfs_sweep_instances(5), n)
+    assert len(chunks) == min(n, len(whole))
+    assert tuple(r for c in chunks for r in suites.sfs_records(c)) == whole
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 64])
+def test_torus_chunks_concatenate_to_the_pass(n):
+    monos = suites.supported_monodromies(9, 20)
+    whole = suites.torus_records(monos)
+    assert [r[0] for r in whole] == monos
+    assert tuple(r for c in cli._chunks(monos, n) for r in suites.torus_records(c)) == whole
+
+
+def test_torus_candidates_built_once_per_run(monkeypatch):
+    built = []
+    real = suites.torus_candidate
+
+    def counting(T):
+        built.append((T.a, T.b, T.c, T.d))
+        return real(T)
+
+    monkeypatch.setattr(suites, "torus_candidate", counting)
+    res = suites.run_suites(["torus-son2", "admissibility"], max_p=3, max_N=9)
+    monos = suites.supported_monodromies(9, 20)
+    assert all(r.passed for r in res)
+    assert sorted(built) == monos
+    # a suite called on its own still builds its own pass
+    built.clear()
+    assert suites.suite_torus_son2(max_N=9).cases == len(monos) == len(built)
+
+
+def test_bounds_reach_each_suite_by_its_signature():
+    res = suites.run_suites(["lemma-sums", "su2-parity", "sfs-tlj"],
+                            max_p=4, max_level=2, lemma_max_p=5, seed=3)
+    assert [r.cases for r in res] == [suites.suite_lemma_sums(max_p=5, seed=3).cases, 9,
+                                      len(suites.sfs_sweep_instances(4))]
+
+
+
+def test_suites_flag_doctored_passes():
+    records = list(suites.sfs_sweep_records(3))
+    records[1] = replace(records[1], certified=False, max_s_delta=0.5)
+    res = suites.suite_sfs_tlj(records=tuple(records))
+    assert not res.passed and res.failures == [f"{records[1].pairs}: max |dS| = 5.00e-01"]
+    torus = list(suites.torus_records(suites.supported_monodromies(9, 20)))
+    mono, cert, rep, adm = torus[3]
+    torus[3] = (mono, cert, replace(rep, transparent_labels=("rho+",)),
+                replace(adm, gauss_sum_modulus=0.0))
+    son2 = suites.suite_torus_son2(torus=tuple(torus))
+    assert not son2.passed and son2.failures == [f"{mono}: transparent=('rho+',)"]
+    res = suites.suite_admissibility(max_p=3, torus=tuple(torus))
+    assert not res.passed and res.failures == [f"{mono}: gauss 0.0 != 1/sqrt(N)"]
