@@ -12,8 +12,6 @@ import argparse
 import csv
 import json
 import sys
-from concurrent.futures import ProcessPoolExecutor
-from fractions import Fraction
 
 import numpy as np
 
@@ -53,7 +51,7 @@ def phase_to_json(t: RationalPhase) -> dict:
 
 
 def phase_from_json(obj) -> RationalPhase:
-    return RationalPhase.of(Fraction(obj["num"], obj["den"]))
+    return RationalPhase.of(obj["num"], obj["den"])
 
 
 def matrix_to_json(M) -> list:
@@ -255,38 +253,6 @@ def cmd_torus(args) -> int:
     return EXIT_OK if cert.passed else EXIT_FAILED
 
 
-def _chunks(items: list, n: int) -> list[list]:
-    """items cut into at most n contiguous runs of near-equal length."""
-    n = min(n, len(items))
-    return [items[len(items) * i // n:len(items) * (i + 1) // n] for i in range(n)]
-
-
-def _run_parallel(names, kwargs, jobs: int) -> list:
-    """The suites on a pool of workers: the suites that read no shared pass,
-    the SFS and torus passes in contiguous chunks, and verlinde (its
-    associativity tensor is rank^4) on the SFS records.  The parent runs the
-    suites that only read records."""
-    free = [n for n in names if not suites.passes([n])]
-    sfs = suites.sfs_sweep_instances(kwargs["max_p"]) if "records" in suites.passes(names) else []
-    torus = suites.supported_monodromies(kwargs["max_N"], 20) if "torus" in suites.passes(names) else []
-    sfs, torus = _chunks(sfs, 4 * jobs), _chunks(torus, 4 * jobs)
-    workers = min(jobs, len(free) + len(sfs) + len(torus) + ("verlinde" in names))
-    # the pool forks all of its workers at the first submit
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        pending = [pool.submit(suites.run_suites, [n], **kwargs) for n in free]
-        # largest manifolds first, so that the last chunk to finish is a short one
-        sfs = [pool.submit(suites.sfs_records, c) for c in sfs[::-1]][::-1]
-        records = tuple(r for f in sfs for r in f.result())
-        if "verlinde" in names:
-            pending.append(pool.submit(suites.run_suites, ["verlinde"], **kwargs, records=records))
-        # queued behind verlinde, so that the other workers take them while it runs
-        torus = [pool.submit(suites.torus_records, c) for c in torus]
-        torus = tuple(r for f in torus for r in f.result())
-        readers = [n for n in names if n not in free and n != "verlinde"]
-        results = suites.run_suites(readers, **kwargs, records=records, torus=torus) if readers else []
-        return results + [r for f in pending for r in f.result()]
-
-
 def cmd_verify(args) -> int:
     names = args.suite if args.suite else list(suites.ALL_SUITES)
     # coverage floors: p <= 2 misses parity classes of sfs-modularity, and
@@ -306,11 +272,9 @@ def cmd_verify(args) -> int:
     if args.jobs < 1:
         print("error: --jobs must be >= 1", file=sys.stderr)
         return EXIT_BAD_INPUT
-    kwargs = dict(max_p=args.max_p, max_N=args.max_N, max_level=args.max_level,
-                  lemma_max_p=args.lemma_max_p, seed=args.seed)
-    results = (_run_parallel(names, kwargs, args.jobs) if args.jobs > 1
-               else suites.run_suites(names, **kwargs))
-    results.sort(key=lambda r: names.index(r.name))
+    results = suites.run_suites(names, jobs=args.jobs, max_p=args.max_p, max_N=args.max_N,
+                                max_level=args.max_level, lemma_max_p=args.lemma_max_p,
+                                seed=args.seed)
     failed = [r for r in results if not r.passed]
     if args.format == "json":
         payload = {

@@ -138,7 +138,7 @@ def _s_matrix(factors) -> np.ndarray:
 
 def _assemble(manifold_tag, manifold, J, labels, cs, twists, torsions, ops, epsilon, s_tilde,
               grading, central_actions) -> CandidateData:
-    """cs: a (residues, den) pair; twists: a pair or phases; ops: (generators, exponents, degrees)."""
+    """cs, twists: (residues, den) pairs; ops: (generators, exponents, degrees)."""
     # the unit is label 0, as ModularData requires
     dims = s_tilde[0, :].real.copy()
     D2 = 2.0 * float(torsions[0])
@@ -226,7 +226,7 @@ def torus_candidate(T: TorusMonodromy) -> CandidateData:
                    for e, d in E.tolist()] for beta in chars])
     S = _s_matrix([(W, None)])
     actions = tuple(torus_bundle.central_reps(T))
-    twists = tuple(cs[0] - c for c in cs)
+    twists = RationalPhase.residues([cs[0] - c for c in cs])
     return _assemble(T.tag(), T, None, labels, RationalPhase.residues(cs), twists, tors,
                      (("x",), E[:, :1], E[:, 1:]), eps, S, None, actions)
 

@@ -5,11 +5,14 @@ and the command-line `verify` command both run these.
 
 from __future__ import annotations
 
+import ctypes
 import gc
 import inspect
 import itertools
 import random
 import time
+from concurrent.futures import Future, ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
@@ -32,7 +35,7 @@ from .catalog import (
     verlinde_fusion,
 )
 from .pipeline import admissibility_report, certify, sfs_candidate, torus_candidate
-from .seifert import make_sfs, z2_homology_sphere
+from .seifert import character_count, make_sfs, z2_homology_sphere
 from .torsion_engine import chain_torsion
 from .torus_bundle import build_adjoint_complex, enumerate_torus_characters, make_torus_bundle
 
@@ -395,7 +398,7 @@ def suite_su2_parity(max_level: int = 6) -> SuiteResult:
                        not failures, cases, failures)
 
 
-def _modular_outputs(max_p: int = 9, rank_cap: int = 24, records=None):
+def _modular_outputs(max_p: int = 9, rank_cap: int = 24):
     """Modular data sets named by the realization and product criteria."""
     outs: list[tuple[str, ModularData]] = []
     for r in range(2, 13):
@@ -407,21 +410,21 @@ def _modular_outputs(max_p: int = 9, rank_cap: int = 24, records=None):
         for n in range(7):
             if (m - n) % 2 == 1:
                 outs.append((f"su2 {m}x{n}", graded_product(su2_level(m), su2_level(n))))
-    # modular sweep outputs = the Z2-homology spheres (the >= 2-twos family
-    # can be trivially non-degenerate but its label set is inadmissible and
-    # carries the wrong total dimension)
-    for rec in sfs_sweep_records(max_p) if records is None else records:
-        if rec.modular and rec.z2_sphere and rec.rank <= rank_cap \
-                and rec.pairs != ((3, 2), (5, 1), (5, 4)):
-            outs.append((str(rec.pairs), sfs_candidate(make_sfs(rec.pairs)).data))
+    # the modular sweep outputs are its Z2-homology spheres, which sfs-modularity
+    # asserts (a sphere has at most one p = 2 fiber, where the dichotomy holds)
+    for pairs in sfs_sweep_instances(max_p):
+        M = make_sfs(pairs)
+        if z2_homology_sphere(M) and character_count(M) <= rank_cap \
+                and pairs != ((3, 2), (5, 1), (5, 4)):
+            outs.append((str(pairs), sfs_candidate(M).data))
     return outs
 
 
-def suite_verlinde(max_p: int = 9, rank_cap: int = 24, *, records=None) -> SuiteResult:
+def suite_verlinde(max_p: int = 9, rank_cap: int = 24) -> SuiteResult:
     """Verlinde fusion of every named modular output: coefficients are
     nonnegative integers and fusion is associative."""
     failures = []
-    outs = _modular_outputs(max_p, rank_cap, records)
+    outs = _modular_outputs(max_p, rank_cap)
     for name, D in outs:
         try:
             N = verlinde_fusion(D)
@@ -452,28 +455,64 @@ ALL_SUITES = {
 }
 
 
-def passes(names) -> set[str]:
-    """The shared passes the named suites read: "records" (the SFS sweep), "torus"."""
-    return {p for n in names for p in inspect.signature(ALL_SUITES[n]).parameters
-            if p in ("records", "torus")}
+def _chunks(items: list, n: int) -> list[list]:
+    """items cut into at most n contiguous runs of near-equal length."""
+    n = min(n, len(items))
+    return [items[len(items) * i // n:len(items) * (i + 1) // n] for i in range(n)]
 
 
-def run_suites(names=None, *, max_p: int = 9, max_N: int = 13, max_level: int = 6,
-               lemma_max_p: int = 50, seed: int = 0, records=None, torus=None) -> list[SuiteResult]:
-    """Run the named suites (all by default).  Each suite gets the bounds and
-    passes that its signature names, lemma-sums lemma_max_p as its max_p.  A
-    pass that is not given is computed once, for the first suite that reads it."""
-    names = list(ALL_SUITES) if not names else list(names)
-    out = []
+def _one_blas_thread() -> None:
+    """Pool initializer: the workers already fill the cores, so BLAS threads in
+    them only contend (verlinde beside an SFS chunk ran several times slower).
+    numpy has no thread control; this calls that of the OpenBLAS its wheels bundle."""
+    set_threads = getattr(ctypes.CDLL(np.linalg._umath_linalg.__file__),
+                          "scipy_openblas_set_num_threads64_", None)
+    if set_threads is not None:
+        set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+        set_threads(1)
+
+
+class _InProcess:
+    """An executor that runs each submission at submit time."""
+
+    def submit(self, fn, *args, **kwargs) -> Future:
+        future = Future()
+        future.set_result(fn(*args, **kwargs))
+        return future
+
+
+def run_suites(names=None, *, jobs: int = 1, max_p: int = 9, max_N: int = 13, max_level: int = 6,
+               lemma_max_p: int = 50, seed: int = 0) -> list[SuiteResult]:
+    """Run the named suites (all when names is None); results come in that order.
+    The SFS sweep and the torus pass are each computed once, in contiguous
+    chunks, about four per job, beside the suites that read neither pass.  The
+    suites that read them then run in the calling process.  Each suite gets the
+    bounds and passes its signature names, lemma-sums lemma_max_p as its max_p.
+    With jobs = 1, or work for one worker, all runs in process in the same order."""
+    names = list(ALL_SUITES) if names is None else list(names)
     for name in names:
         if name not in ALL_SUITES:
             raise ValueError(f"unknown suite {name!r}; choose from {sorted(ALL_SUITES)}")
-        params = inspect.signature(ALL_SUITES[name]).parameters
-        if records is None and "records" in params:
-            records = sfs_sweep_records(max_p)
-        if torus is None and "torus" in params:
-            torus = torus_records(supported_monodromies(max_N, 20))
-        kwargs = dict(max_p=lemma_max_p if name == "lemma-sums" else max_p, max_N=max_N,
-                      max_level=max_level, seed=seed, records=records, torus=torus)
-        out.append(ALL_SUITES[name](**{k: v for k, v in kwargs.items() if k in params}))
-    return out
+    params = {n: inspect.signature(ALL_SUITES[n]).parameters for n in names}
+
+    def args(name, **passes):
+        given = dict(max_p=lemma_max_p if name == "lemma-sums" else max_p, max_N=max_N,
+                     max_level=max_level, seed=seed, **passes)
+        return {k: v for k, v in given.items() if k in params[name]}
+
+    free = [n for n in names if not {"records", "torus"} & params[n].keys()]
+    sfs = sfs_sweep_instances(max_p) if any("records" in params[n] for n in names) else []
+    torus = supported_monodromies(max_N, 20) if any("torus" in params[n] for n in names) else []
+    sfs, torus = _chunks(sfs, 4 * jobs), _chunks(torus, 4 * jobs)
+    workers = min(jobs, len(free) + len(sfs) + len(torus))
+    # the pool forks all of its workers at the first submit
+    with (ProcessPoolExecutor(workers, initializer=_one_blas_thread) if workers > 1
+          else nullcontext(_InProcess())) as pool:
+        done = {n: pool.submit(ALL_SUITES[n], **args(n)) for n in free}
+        # largest manifolds first, so that the last chunk to finish is a short one
+        sfs = [pool.submit(sfs_records, c) for c in sfs[::-1]][::-1]
+        torus = [pool.submit(torus_records, c) for c in torus]
+        passes = dict(records=tuple(r for f in sfs for r in f.result()),
+                      torus=tuple(r for f in torus for r in f.result()))
+        return [done[n].result() if n in done else ALL_SUITES[n](**args(n, **passes))
+                for n in names]

@@ -39,10 +39,6 @@ class TorusMonodromy:
     def tag(self) -> str:
         return f"torus({self.a},{self.b},{self.c},{self.d})"
 
-    @property
-    def matrix(self) -> np.ndarray:
-        return np.array([[self.a, self.b], [self.c, self.d]])
-
     def unsupported_reason(self) -> str | None:
         if self.supported:
             return None

@@ -1,4 +1,5 @@
 import csv
+import functools
 import io
 import json
 from contextlib import redirect_stderr, redirect_stdout
@@ -271,7 +272,7 @@ class TestVerifyCommand:
         seen = []
 
         class RecordingPool:
-            def __init__(self, max_workers):
+            def __init__(self, max_workers, **kwargs):
                 seen.append(max_workers)
 
             def __enter__(self):
@@ -288,7 +289,7 @@ class TestVerifyCommand:
                 future.set_result(fn(*args, **kwargs))
                 return future
 
-        monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(cli.suites, "ProcessPoolExecutor", RecordingPool)
         code, out, _ = run_cli(["verify", "--suite", "rank6-table",
                                 "--suite", "su2-parity", "--jobs", "64"])
         assert code == 0 and out.count("[PASS]") == 2
@@ -302,7 +303,7 @@ class TestVerifyCommand:
         from mtcforge import suites
 
         class InlinePool:
-            def __init__(self, max_workers):
+            def __init__(self, max_workers, **kwargs):
                 pass
 
             def __enter__(self):
@@ -317,21 +318,27 @@ class TestVerifyCommand:
                 return future
 
         seen = {}
-        run_suites = suites.run_suites
 
-        def spy(names, **kwargs):
-            seen.update({n: (kwargs.get("records"), kwargs.get("torus")) for n in names})
-            return run_suites(names, **kwargs)
+        def spy_on(name):
+            suite = suites.ALL_SUITES[name]
 
-        monkeypatch.setattr(cli, "ProcessPoolExecutor", InlinePool)
-        monkeypatch.setattr(suites, "run_suites", spy)
+            @functools.wraps(suite)
+            def spy(**kwargs):
+                seen[name] = (kwargs.get("records"), kwargs.get("torus"))
+                return suite(**kwargs)
+
+            monkeypatch.setitem(suites.ALL_SUITES, name, spy)
+
+        for name in ("sfs-tlj", "torus-son2", "verlinde"):
+            spy_on(name)
+        monkeypatch.setattr(suites, "ProcessPoolExecutor", InlinePool)
         code, _, _ = run_cli(["verify", "--suite", "sfs-tlj", "--suite", "torus-son2",
                               "--suite", "verlinde", "--max-p", "4", "--max-N", "9", "--jobs", "3"])
         assert code == 0
         records = suites.sfs_sweep_records(4)
         torus = suites.torus_records(suites.supported_monodromies(9, 20))
-        assert seen["verlinde"][0] == records
-        assert seen["sfs-tlj"] == seen["torus-son2"] == (records, torus)
+        assert seen == {"sfs-tlj": (records, None), "torus-son2": (None, torus),
+                        "verlinde": (None, None)}
 
 
 class TestToleranceOverride:

@@ -1,17 +1,21 @@
 """The shared passes behind the suites: chunked passes equal the whole pass,
-and one run_suites call builds each pass once."""
+one run_suites call builds each pass once, and the pool workers it starts
+use one BLAS thread each."""
 
+import ctypes
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
-from mtcforge import cli, suites
+from mtcforge import suites
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 7, 64])
 def test_sfs_chunks_concatenate_to_the_sweep(n):
     whole = suites.sfs_sweep_records(5)
-    chunks = cli._chunks(suites.sfs_sweep_instances(5), n)
+    chunks = suites._chunks(suites.sfs_sweep_instances(5), n)
     assert len(chunks) == min(n, len(whole))
     assert tuple(r for c in chunks for r in suites.sfs_records(c)) == whole
 
@@ -21,7 +25,7 @@ def test_torus_chunks_concatenate_to_the_pass(n):
     monos = suites.supported_monodromies(9, 20)
     whole = suites.torus_records(monos)
     assert [r[0] for r in whole] == monos
-    assert tuple(r for c in cli._chunks(monos, n) for r in suites.torus_records(c)) == whole
+    assert tuple(r for c in suites._chunks(monos, n) for r in suites.torus_records(c)) == whole
 
 
 def test_torus_candidates_built_once_per_run(monkeypatch):
@@ -49,6 +53,18 @@ def test_bounds_reach_each_suite_by_its_signature():
                                       len(suites.sfs_sweep_instances(4))]
 
 
+def test_empty_selection_runs_no_suite():
+    # None selects every suite; an empty list selects none and opens no pool
+    assert suites.run_suites([]) == [] == suites.run_suites([], jobs=2)
+
+
+def test_verlinde_takes_the_modular_sweep_outputs():
+    m0 = ((3, 2), (5, 1), (5, 4))
+    want = [str(r.pairs) for r in suites.sfs_sweep_records(7)
+            if r.modular and r.z2_sphere and r.rank <= 24 and r.pairs != m0]
+    taken = [name for name, _ in suites._modular_outputs(7) if name.startswith("((")]
+    assert taken == want
+
 
 def test_suites_flag_doctored_passes():
     records = list(suites.sfs_sweep_records(3))
@@ -63,3 +79,17 @@ def test_suites_flag_doctored_passes():
     assert not son2.passed and son2.failures == [f"{mono}: transparent=('rho+',)"]
     res = suites.suite_admissibility(max_p=3, torus=tuple(torus))
     assert not res.passed and res.failures == [f"{mono}: gauss 0.0 != 1/sqrt(N)"]
+
+
+def _blas_threads():
+    get = ctypes.CDLL(np.linalg._umath_linalg.__file__).scipy_openblas_get_num_threads64_
+    get.argtypes, get.restype = [], ctypes.c_int
+    return get()
+
+
+def test_pool_workers_run_one_blas_thread():
+    if not hasattr(ctypes.CDLL(np.linalg._umath_linalg.__file__),
+                   "scipy_openblas_get_num_threads64_"):
+        pytest.skip("numpy is not linked to its bundled OpenBLAS")
+    with ProcessPoolExecutor(1, initializer=suites._one_blas_thread) as pool:
+        assert pool.submit(_blas_threads).result(timeout=60) == 1
