@@ -1,7 +1,7 @@
 """Command-line surface: `sfs`, `torus`, and `verify` subcommands.
 
-Output formats: json (machine-readable, round-trips), csv (one row per
-label), pretty (human-readable).  Exit codes: 0 success, 1 certification or
+Output formats: json (the full report; round-trips), csv (only the per-label
+table), pretty (human-readable).  Exit codes: 0 success, 1 certification or
 verification failure, 2 invalid input.  The MTCFORGE_TOL environment
 variable overrides the default 1e-9 comparison tolerance.
 """
@@ -145,29 +145,27 @@ def _candidate_report(C, reference, cert, extra) -> dict:
 
 
 def _emit(C, reference, cert, extra: dict, fmt: str, stream) -> None:
-    """Write a candidate in the requested format; json and csv go through the
-    full report, pretty reads the candidate directly."""
-    if fmt in ("json", "csv"):
-        report = _candidate_report(C, reference, cert, extra)
+    """Write a candidate in the requested format; json goes through the full
+    report, csv and pretty read the candidate directly, and csv prints only
+    the per-label table."""
     if fmt == "json":
-        json.dump(report, stream, indent=2, default=_json_default)
+        json.dump(_candidate_report(C, reference, cert, extra), stream, indent=2,
+                  default=_json_default)
         stream.write("\n")
         return
+    D = C.data
+    rows = zip(C.labels, D.twists, D.dims, C.cs, C.torsions)
     if fmt == "csv":
         w = csv.writer(stream)
         w.writerow(["label", "twist", "dim", "cs", "torsion"])
-        D = report["modular_data"]
-        for i, lab in enumerate(report["labels"]):
-            tw = D["twists"][i]
-            cs = report["cs"][i]
-            w.writerow([lab, f"{tw['num']}/{tw['den']}", _fmt(D["dims"][i]),
-                        f"{cs['num']}/{cs['den']}", _fmt(report["torsion"][i])])
+        for lab, tw, dim, cs, tor in rows:
+            w.writerow([lab, f"{tw.numerator}/{tw.denominator}", _fmt(dim),
+                        f"{cs.numerator}/{cs.denominator}", _fmt(tor)])
         return
     # pretty
-    D = C.data
     print(f"manifold: {C.manifold_tag}   rank {C.rank}", file=stream)
     print(f"{'label':>12} {'twist':>9} {'dim':>16} {'CS':>9} {'torsion':>16}", file=stream)
-    for lab, tw, dim, cs, tor in zip(C.labels, D.twists, D.dims, C.cs, C.torsions):
+    for lab, tw, dim, cs, tor in rows:
         print(f"{lab:>12} {tw.numerator:>4}/{tw.denominator:<4} {_fmt(dim):>16} "
               f"{cs.numerator:>4}/{cs.denominator:<4} {_fmt(tor):>16}", file=stream)
     print("S-matrix (un-normalized):", file=stream)
@@ -228,6 +226,9 @@ def cmd_sfs(args) -> int:
 
 
 def cmd_torus(args) -> int:
+    if args.oracle and args.format == "csv":
+        print("error: --oracle has no csv column; use --format json or pretty", file=sys.stderr)
+        return EXIT_BAD_INPUT
     try:
         a, b, c, d = _parse_pair(args.monodromy, 4, "--monodromy")
         T = make_torus_bundle(a, b, c, d)

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import functools
 import io
 import json
@@ -11,7 +12,7 @@ import pytest
 
 from mtcforge import cli, torus_bundle
 from mtcforge.algebra import RationalPhase
-from mtcforge.catalog import soN2_adjoint, su2_level
+from mtcforge.catalog import graded_product, soN2_adjoint, su2_level, tlj_data
 from mtcforge.cli import (
     main,
     matrix_from_json,
@@ -21,7 +22,7 @@ from mtcforge.cli import (
     phase_from_json,
     phase_to_json,
 )
-from mtcforge.pipeline import sfs_candidate
+from mtcforge.pipeline import certify, sfs_candidate
 from mtcforge.seifert import make_sfs
 from mtcforge.torus_bundle import connecting_word
 
@@ -124,6 +125,43 @@ class TestSfsCommand:
         # twist column is exact num/den
         assert all("/" in r[1] for r in rows[1:])
 
+    def test_csv_rows_equal_the_report_fields(self):
+        # rank 140, with an even fiber, so both label blocks are present
+        fibers = [(8, 3), (9, 2), (11, 4)]
+        code, out, _ = run_cli(["sfs"] + [a for p, q in fibers for a in ("--fiber", f"{p},{q}")]
+                               + ["--format", "csv"])
+        assert code == 0
+        M = make_sfs(fibers)
+        C = sfs_candidate(M)
+        A = [tlj_data(f.A) for f in M.fibers]
+        reference = graded_product(graded_product(A[0], A[1]), A[2])
+        report = cli._candidate_report(C, reference, certify(C, reference), {})
+        assert report["rank"] == 140
+        # the rows as csv once built them, from the fields of the json report
+        expected = io.StringIO()
+        w = csv.writer(expected)
+        w.writerow(["label", "twist", "dim", "cs", "torsion"])
+        D = report["modular_data"]
+        for i, lab in enumerate(report["labels"]):
+            tw = D["twists"][i]
+            cs = report["cs"][i]
+            w.writerow([lab, f"{tw['num']}/{tw['den']}", format(D["dims"][i], ".12g"),
+                        f"{cs['num']}/{cs['den']}", format(report["torsion"][i], ".12g")])
+        assert out == expected.getvalue()
+
+    def test_failed_certification_exits_1(self, monkeypatch):
+        def failing(C, D):
+            return dataclasses.replace(certify(C, D), passed=False)
+
+        monkeypatch.setattr(cli, "certify", failing)
+        argv = ["sfs", "--fiber", "5,1", "--fiber", "3,2", "--fiber", "5,4", "--format"]
+        code, out, _ = run_cli(argv + ["csv"])
+        assert code == 1
+        assert out.encode() == (GOLDEN / "sfs_5-1_3-2_5-4.csv").read_bytes()
+        code, out, _ = run_cli(argv + ["json"])
+        assert code == 1
+        assert json.loads(out)["certification"]["passed"] is False
+
     def test_reseated_unit(self):
         code, out, _ = run_cli(["sfs", "--fiber", "3,1", "--fiber", "3,1",
                                 "--fiber", "6,1", "--unit", "reseated", "--format", "json"])
@@ -149,6 +187,16 @@ class TestTorusCommand:
         obj = json.loads(out)
         got = sorted(round(r["oracle"], 6) for r in obj["oracle"])
         assert got == [1.25, 1.25, 5.0, 5.0]
+
+    def test_oracle_has_no_csv_column(self, monkeypatch):
+        def refuse(T):
+            raise AssertionError("torus_candidate called for a rejected command")
+
+        monkeypatch.setattr(cli, "torus_candidate", refuse)
+        code, out, err = run_cli(["torus", "--monodromy", "2,1,1,1", "--oracle",
+                                  "--format", "csv"])
+        assert code == 2 and out == ""
+        assert "--oracle has no csv column" in err
 
     def test_bad_determinant_exit_2(self):
         code, _, err = run_cli(["torus", "--monodromy", "3,1,1,0"])

@@ -10,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+from mtcforge import cli
 from mtcforge.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -35,12 +36,47 @@ def test_every_command_has_golden_files():
     assert {name.rsplit(".", 1)[0] for name in CASES} == set(COMMANDS)
 
 
-@pytest.mark.parametrize("name", CASES)
-def test_output_matches_golden(name):
-    stem, fmt = name.rsplit(".", 1)
+def _run(stem, fmt):
     out = io.StringIO()
     with redirect_stdout(out):
         code = main(COMMANDS[stem] + ["--format", fmt])
-    assert code == 0
     # bytes, not text: csv rows end in \r\n
-    assert out.getvalue().encode() == (GOLDEN / name).read_bytes()
+    return code, out.getvalue().encode()
+
+
+@pytest.mark.parametrize("name", CASES)
+def test_output_matches_golden(name):
+    stem, fmt = name.rsplit(".", 1)
+    assert _run(stem, fmt) == (0, (GOLDEN / name).read_bytes())
+
+
+# what only the json report computes; none of it reaches a csv row
+REPORT_ONLY = ("sl2z_diagnostics", "modular_data_to_json", "find_transparent",
+               "admissibility_report")
+
+
+class ReportBuilt(Exception):
+    pass
+
+
+def _forbid(monkeypatch, names):
+    def refuse(name):
+        def call(*args, **kwargs):
+            raise ReportBuilt(name)
+        return call
+
+    for name in names:
+        monkeypatch.setattr(cli, name, refuse(name))
+
+
+@pytest.mark.parametrize("name", [c for c in CASES if c.endswith(".csv")])
+def test_csv_skips_the_report(monkeypatch, name):
+    _forbid(monkeypatch, REPORT_ONLY)
+    assert _run(name[:-len(".csv")], "csv") == (0, (GOLDEN / name).read_bytes())
+
+
+@pytest.mark.parametrize("fn", REPORT_ONLY)
+def test_json_builds_the_report(monkeypatch, fn):
+    _forbid(monkeypatch, [fn])
+    with pytest.raises(ReportBuilt, match=fn):
+        _run("sfs_5-1_3-2_5-4", "json")
