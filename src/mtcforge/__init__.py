@@ -12,7 +12,6 @@ from .algebra import (
     RationalPhase,
     chebyshev,
     mod2_kernel,
-    mod2_rank,
     parity_exp_sum,
 )
 from .catalog import (
@@ -29,24 +28,20 @@ from .pipeline import (
     AdmissibilityReport,
     CandidateData,
     Certificate,
-    LoopOperator,
     admissibility_report,
     certify,
     sfs_candidate,
     torus_candidate,
-    w_symbol,
 )
 from .seifert import (
     SeifertData,
     SfsCharacter,
     central_reps,
-    cs_invariant,
     enumerate_characters,
     make_sfs,
-    torsion,
     z2_homology_sphere,
 )
-from .torsion_engine import BasedChainComplex, TorsionResult, chain_torsion, multiplicativity_check
+from .torsion_engine import BasedChainComplex, TorsionResult, chain_torsion
 from .torus_bundle import (
     TorusCharacter,
     TorusMonodromy,

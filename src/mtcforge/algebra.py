@@ -186,10 +186,6 @@ def _row_reduce_mod2(M: np.ndarray):
     return A, cols, pivots
 
 
-def mod2_rank(M) -> int:
-    return len(_row_reduce_mod2(M)[2])
-
-
 def mod2_kernel(M) -> list[np.ndarray]:
     """Basis of the null space {v : Mv = 0} over F_2."""
     A, cols, pivots = _row_reduce_mod2(M)
@@ -260,23 +256,21 @@ def central_reps_mod2(relations, cs_values: tuple[np.ndarray, int], permute) -> 
     return out
 
 
-def parity_exp_sum(p: int, j: int, l: int, r: int, parity: int, *, literal: bool = False) -> complex:
+def parity_exp_sum(p: int, j: int, l: int, r: int, parity: int) -> complex:
     """Sum over m of fixed parity in [1, p-1] of the four-term exponential
     combination (e^{(j+l)mr*pi*i/p} - e^{(j-l)...} - e^{(-j+l)...} + e^{(-j-l)...}).
 
-    The closed-form case analysis requires gcd(r, p) = 1 and r odd; pass
-    literal=True to evaluate the defining sum directly instead.
+    The closed-form case analysis requires gcd(r, p) = 1 and r odd;
+    `parity_exp_sum_table` evaluates the defining sum for any r.
     """
     if p < 2:
         raise ValueError("p must be >= 2")
     if parity not in (0, 1):
         raise ValueError("parity must be 0 or 1")
-    if literal:
-        return parity_exp_sum_literal(p, j, l, r, parity)
     if gcd(r, p) != 1:
         raise ValueError("r must be a unit mod p")
     if r % 2 == 0:
-        raise ValueError("closed form needs odd r; use literal=True")
+        raise ValueError("closed form needs odd r")
     if j % p == 0 or l % p == 0:
         # at j or l in {0, p} the four exponentials cancel in pairs
         return 0.0
@@ -293,17 +287,6 @@ def parity_exp_sum(p: int, j: int, l: int, r: int, parity: int, *, literal: bool
     if parity == 0:
         return 0.0 if j + l == p else float(-p)
     return float(-2 * p) if j + l == p else float(-p)
-
-
-def parity_exp_sum_literal(p: int, j: int, l: int, r: int, parity: int) -> complex:
-    tot = 0j
-    for m in range(1, p):
-        if m % 2 != parity:
-            continue
-        for sj in (1, -1):
-            for sl in (1, -1):
-                tot += sj * sl * cmath.exp(1j * math.pi * (sj * j + sl * l) * m * r / p)
-    return tot
 
 
 def parity_exp_sum_table(p: int, r: int, parity: int) -> np.ndarray:

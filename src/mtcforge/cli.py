@@ -40,6 +40,9 @@ EXIT_OK = 0
 EXIT_FAILED = 1
 EXIT_BAD_INPUT = 2
 
+# the library has no size bound; the CLI refuses a candidate of larger rank
+MAX_RANK = 5000
+
 
 # --- JSON schema -----------------------------------------------------------
 # phases: {"num": int, "den": int}; complex numbers: [re, im];
@@ -238,6 +241,10 @@ def cmd_torus(args) -> int:
     if not T.supported:
         print(f"error: {T.unsupported_reason()}", file=sys.stderr)
         return EXIT_BAD_INPUT
+    rank = (T.N + 3) // 2
+    if rank > MAX_RANK:
+        print(f"error: rank {rank} exceeds {MAX_RANK}", file=sys.stderr)
+        return EXIT_BAD_INPUT
     C = torus_candidate(T)
     reference = soN2_adjoint(T.N, T.m)
     cert = certify(C, reference)
@@ -308,7 +315,7 @@ def build_parser() -> argparse.ArgumentParser:
                      help="surgery pair; give exactly three")
     sfs.add_argument("--unit", choices=["canonical", "reseated"], default="canonical")
     sfs.add_argument("--format", choices=["json", "csv", "pretty"], default="pretty")
-    sfs.add_argument("--max-rank", type=int, default=5000,
+    sfs.add_argument("--max-rank", type=int, default=MAX_RANK,
                      help="refuse manifolds with more characters than this")
     sfs.set_defaults(func=cmd_sfs)
 

@@ -1,9 +1,9 @@
 """Candidate modular data assembled from manifold invariants.
 
 A candidate bundles an ordered character list with the unit first, exact
-Chern-Simons values, torsions, and one loop operator collection per label;
-the S-matrix is built from trace weights of those operators and certified
-against the independent catalog constructions.
+Chern-Simons values, torsions and central actions.  Its S-matrix is built
+from the trace weights of each label's loop operators and certified against
+the independent catalog constructions.
 
 Both manifold families build S one way.  With W_f[beta, alpha] the trace
 weight of label alpha's operators on factor f at character beta,
@@ -34,28 +34,15 @@ from .algebra import (
     phase_cos,
 )
 from .catalog import ModularData
-from .seifert import SeifertData, SfsCharacter
-from .torus_bundle import TorusCharacter, TorusMonodromy
-
-
-@dataclass(frozen=True)
-class LoopOperator:
-    """A conjugacy-class power with an irreducible representation label:
-    the weight under a character is the degree-`sym_degree` trace of the
-    holonomy of generator^exponent."""
-
-    generator: str
-    exponent: int
-    sym_degree: int
+from .seifert import SeifertData
+from .torus_bundle import TorusMonodromy
 
 
 @dataclass(frozen=True, eq=False)
 class CandidateData:
     """Residue contract: label i has Chern-Simons value cs_residues[i] / cs_den
-    in Q/Z and loop operators op_generators[k]^op_exponents[i, k] of degree
-    op_degrees[i, k].  J is a Seifert space's int64 (rank, 3) degree rows, None
-    for a torus bundle.  `characters`, `cs` and `loop_ops` are built on first
-    access."""
+    in Q/Z.  J is a Seifert space's int64 (rank, 3) degree rows, None for a
+    torus bundle.  `characters` and `cs` are built on first access."""
 
     manifold_tag: str
     manifold: object
@@ -64,19 +51,12 @@ class CandidateData:
     cs_residues: np.ndarray
     cs_den: int
     torsions: np.ndarray
-    op_generators: tuple[str, ...]
-    op_exponents: np.ndarray
-    op_degrees: np.ndarray
-    epsilon: int
     data: ModularData
     central_actions: tuple
 
     @property
     def rank(self) -> int:
         return len(self.labels)
-
-    def twist(self, alpha: int) -> RationalPhase:
-        return self.data.twists[alpha]
 
     @cached_property
     def characters(self) -> tuple:
@@ -87,36 +67,6 @@ class CandidateData:
     @cached_property
     def cs(self) -> tuple[RationalPhase, ...]:
         return tuple(RationalPhase.of(x, self.cs_den) for x in self.cs_residues.tolist())
-
-    @cached_property
-    def loop_ops(self) -> tuple[tuple[LoopOperator, ...], ...]:
-        return tuple(tuple(map(LoopOperator, self.op_generators, e, d)) for e, d
-                     in zip(self.op_exponents.tolist(), self.op_degrees.tolist()))
-
-
-def character_trace(C: CandidateData, beta: int, op: LoopOperator) -> float:
-    """Trace of the beta-th character on generator^exponent."""
-    chi = C.characters[beta]
-    if isinstance(chi, SfsCharacter):
-        k = int(op.generator[1:]) - 1
-        fiber = C.manifold.fibers[k]
-        return phase_cos(Fraction(chi.n[k] * op.exponent, fiber.p))
-    if isinstance(chi, TorusCharacter):
-        if op.generator != "x":
-            raise ValueError(f"unknown generator {op.generator}")
-        if chi.kind == "irreducible":
-            return phase_cos(Fraction(chi.k * op.exponent, C.manifold.N))
-        return 2.0 * (-1) ** (chi.epsilon_x * op.exponent)
-    raise TypeError(f"unknown character type {type(chi)}")
-
-
-def w_symbol(C: CandidateData, beta: int, alpha: int) -> float:
-    """Product over alpha's loop operators of the epsilon-twisted trace
-    weight evaluated at the beta-th character."""
-    out = 1.0
-    for op in C.loop_ops[alpha]:
-        out *= chebyshev(op.sym_degree, C.epsilon * character_trace(C, beta, op))
-    return out
 
 
 def _s_matrix(factors) -> np.ndarray:
@@ -136,9 +86,9 @@ def _s_matrix(factors) -> np.ndarray:
     return S
 
 
-def _assemble(manifold_tag, manifold, J, labels, cs, twists, torsions, ops, epsilon, s_tilde,
-              grading, central_actions) -> CandidateData:
-    """cs, twists: (residues, den) pairs; ops: (generators, exponents, degrees)."""
+def _assemble(manifold_tag, manifold, J, labels, cs, twists, torsions, s_tilde, grading,
+              central_actions) -> CandidateData:
+    """cs, twists: (residues, den) pairs."""
     # the unit is label 0, as ModularData requires
     dims = s_tilde[0, :].real.copy()
     D2 = 2.0 * float(torsions[0])
@@ -148,8 +98,7 @@ def _assemble(manifold_tag, manifold, J, labels, cs, twists, torsions, ops, epsi
     if np.abs(np.abs(data.s_tilde[0, :]) ** 2 - D2 / (2.0 * torsions)).max() \
             > comparison_tolerance() * max(1.0, D2):
         raise AssertionError("|S[0,:]|^2 does not match D^2/(2 Tor)")
-    return CandidateData(manifold_tag, manifold, J, labels, *cs, torsions, *ops, epsilon, data,
-                         central_actions)
+    return CandidateData(manifold_tag, manifold, J, labels, *cs, torsions, data, central_actions)
 
 
 def sfs_candidate(M: SeifertData, unit: str = "canonical") -> CandidateData:
@@ -161,6 +110,9 @@ def sfs_candidate(M: SeifertData, unit: str = "canonical") -> CandidateData:
     reseated: only for the (3,1),(3,1),(r,1) family; labels are re-indexed
     from the top degree down, the unit is the old top character, and label j
     carries the single operator (x_3, degree j).
+
+    No size check: time and memory grow as the square of the rank,
+    `seifert.character_count(M)`.  The CLI holds the bound.
     """
     if unit == "canonical":
         return _sfs_canonical(M)
@@ -175,13 +127,13 @@ def _fiber_traces(f: seifert.SeifertFiber, e: int) -> np.ndarray:
                      for i in range(f.rank)])
 
 
-def _sfs_assemble(M: SeifertData, tag, J, labels, S, ops, grading) -> CandidateData:
+def _sfs_assemble(M: SeifertData, tag, J, labels, S, grading) -> CandidateData:
     """The characters with degree rows J, with exact CS values mod L =
     lcm(4 p_k), twists cs[0] - cs, torsions and central actions."""
     cs, L, tors = seifert._label_tables(M, J)
     actions = tuple(seifert._central_reps(M, J, (cs, L)))
-    return _assemble(tag, M, J, labels, (cs, L), ((cs[0] - cs) % L, L), tors, ops, -1, S,
-                     grading, actions)
+    return _assemble(tag, M, J, labels, (cs, L), ((cs[0] - cs) % L, L), tors, S, grading,
+                     actions)
 
 
 def _sfs_canonical(M: SeifertData) -> CandidateData:
@@ -190,8 +142,7 @@ def _sfs_canonical(M: SeifertData) -> CandidateData:
     # fiber character and fiber label are both indexed by the degree
     S = _s_matrix([(chebyshev_table(f.rank, -_fiber_traces(f, f.c)), J[:, k])
                    for k, f in enumerate(M.fibers)])
-    ops = (("x1", "x2", "x3"), np.broadcast_to([f.c for f in M.fibers], J.shape), J)
-    return _sfs_assemble(M, M.tag(), J, labels, S, ops, tuple((J[:, 0] % 2).tolist()))
+    return _sfs_assemble(M, M.tag(), J, labels, S, tuple((J[:, 0] % 2).tolist()))
 
 
 def _sfs_reseated(M: SeifertData) -> CandidateData:
@@ -203,15 +154,15 @@ def _sfs_reseated(M: SeifertData) -> CandidateData:
     J = J[np.argsort(-J[:, 2])]
     labels = tuple(f"~{j}" for j in range(r - 1))
     S = _s_matrix([(chebyshev_table(r - 1, -_fiber_traces(M.fibers[2], 1)[J[:, 2]]), None)])
-    ops = (("x3",), np.ones((r - 1, 1), dtype=np.int64), np.arange(r - 1)[:, None])
-    return _sfs_assemble(M, M.tag() + "~reseated", J, labels, S, ops,
+    return _sfs_assemble(M, M.tag() + "~reseated", J, labels, S,
                          tuple(j % 2 for j in range(r - 1)))
 
 
 def torus_candidate(T: TorusMonodromy) -> CandidateData:
     """Candidate data for a supported torus bundle: unit rho+, operators
     (x, degree 0) on the reducibles and (x^{mk}, degree 1) on rho_k,
-    with epsilon = +1."""
+    with epsilon = +1.  No size check: time and memory grow as the square of
+    the rank, (N + 3) / 2.  The CLI holds the bound."""
     chars = torus_bundle.enumerate_torus_characters(T)
     labels = tuple(c.label() for c in chars)
     eps = +1
@@ -227,8 +178,8 @@ def torus_candidate(T: TorusMonodromy) -> CandidateData:
     S = _s_matrix([(W, None)])
     actions = tuple(torus_bundle.central_reps(T))
     twists = RationalPhase.residues([cs[0] - c for c in cs])
-    return _assemble(T.tag(), T, None, labels, RationalPhase.residues(cs), twists, tors,
-                     (("x",), E[:, :1], E[:, 1:]), eps, S, None, actions)
+    return _assemble(T.tag(), T, None, labels, RationalPhase.residues(cs), twists, tors, S,
+                     None, actions)
 
 
 @dataclass(frozen=True)

@@ -91,7 +91,8 @@ class SeifertData:
 
 
 def make_sfs(pairs) -> SeifertData:
-    """Seifert data from three (p, q) surgery pairs."""
+    """Seifert data from three (p, q) surgery pairs.  No size check: the
+    candidate's rank is `character_count`, and the CLI holds the bound."""
     pairs = tuple(pairs)
     if len(pairs) != 3:
         raise ValueError("exactly three fibers required")
@@ -143,18 +144,11 @@ def character_count(M: SeifertData) -> int:
     return math.prod(p // 2 for p in ps) + math.prod((p - 1) // 2 for p in ps)
 
 
-def _validate(M: SeifertData, chi: SfsCharacter) -> None:
-    for f, jk in zip(M.fibers, chi.j):
-        if not 0 <= jk <= f.p - 2:
-            raise ValueError("character does not belong to this manifold")
-    if _character(_n_tables(M), chi.j) != chi:
-        raise ValueError("character data inconsistent with manifold")
-
-
 def _label_tables(M: SeifertData, J: np.ndarray):
     """Integer data of the characters with degree rows J, gathered from
-    per-fiber tables indexed by degree: the CS values as int64 residues mod
-    L = lcm(4 p_k), L itself, and the torsions."""
+    per-fiber tables indexed by degree: the CS values sum_k -c_k (j_k+1)^2 /
+    (4 p_k) as int64 residues mod L = lcm(4 p_k), L itself, and the torsions
+    p1 p2 p3 / prod_k 4 sin^2(2 pi r_k n_k / p_k)."""
     L = math.lcm(*(4 * f.p for f in M.fibers))
     cs, tors = 0, 1.0
     for f, j in zip(M.fibers, J.T):
@@ -165,19 +159,6 @@ def _label_tables(M: SeifertData, J: np.ndarray):
         s = np.array([math.sin(2 * math.pi * ((f.r * m) % (2 * f.p) / 2) / f.p) for m in n2])
         tors = tors * (f.p / (4 * s * s))[j]
     return cs % L, L, tors
-
-
-def cs_invariant(M: SeifertData, chi: SfsCharacter) -> RationalPhase:
-    """Chern-Simons value sum_k -c_k (j_k+1)^2 / (4 p_k) mod 1, exact."""
-    _validate(M, chi)
-    cs, L, _ = _label_tables(M, np.array([chi.j]))
-    return RationalPhase.of(int(cs[0]), L)
-
-
-def torsion(M: SeifertData, chi: SfsCharacter) -> float:
-    """Adjoint torsion p1 p2 p3 / prod_k 4 sin^2(2 pi r_k n_k / p_k)."""
-    _validate(M, chi)
-    return float(_label_tables(M, np.array([chi.j]))[2][0])
 
 
 def z2_homology_sphere(M: SeifertData) -> bool:

@@ -9,6 +9,7 @@ import ctypes
 import gc
 import inspect
 import itertools
+import os
 import random
 import time
 from concurrent.futures import Future, ProcessPoolExecutor
@@ -488,7 +489,8 @@ def run_suites(names=None, *, jobs: int = 1, max_p: int = 9, max_N: int = 13, ma
     chunks, about four per job, beside the suites that read neither pass.  The
     suites that read them then run in the calling process.  Each suite gets the
     bounds and passes its signature names, lemma-sums lemma_max_p as its max_p.
-    With jobs = 1, or work for one worker, all runs in process in the same order."""
+    jobs is capped at os.cpu_count().  With jobs = 1, or work for one worker,
+    all runs in process in the same order."""
     names = list(ALL_SUITES) if names is None else list(names)
     for name in names:
         if name not in ALL_SUITES:
@@ -503,6 +505,7 @@ def run_suites(names=None, *, jobs: int = 1, max_p: int = 9, max_N: int = 13, ma
     free = [n for n in names if not {"records", "torus"} & params[n].keys()]
     sfs = sfs_sweep_instances(max_p) if any("records" in params[n] for n in names) else []
     torus = supported_monodromies(max_N, 20) if any("torus" in params[n] for n in names) else []
+    jobs = min(jobs, os.cpu_count() or 1)
     sfs, torus = _chunks(sfs, 4 * jobs), _chunks(torus, 4 * jobs)
     workers = min(jobs, len(free) + len(sfs) + len(torus))
     # the pool forks all of its workers at the first submit

@@ -121,36 +121,3 @@ def chain_torsion(C: BasedChainComplex, tol: float | None = None,
             log_tau += (-1) ** (deg + 1) * logdet
     return TorsionResult(math.exp(log_tau), True, ranks)
 
-
-def direct_sum(A: BasedChainComplex, B: BasedChainComplex) -> BasedChainComplex:
-    """Block direct sum, basis of A followed by basis of B in each degree."""
-    if len(A.dims) != len(B.dims):
-        raise ValueError("complexes must have the same length")
-    dims = tuple(a + b for a, b in zip(A.dims, B.dims))
-    bnds = []
-    for da, db in zip(A.boundaries, B.boundaries):
-        M = np.zeros((da.shape[0] + db.shape[0], da.shape[1] + db.shape[1]), dtype=complex)
-        M[: da.shape[0], : da.shape[1]] = da
-        M[da.shape[0]:, da.shape[1]:] = db
-        bnds.append(M)
-    return BasedChainComplex(dims, tuple(bnds))
-
-
-def multiplicativity_check(sub: BasedChainComplex, total: BasedChainComplex,
-                           quotient: BasedChainComplex, tol: float = 1e-6) -> bool:
-    """Whether tau(total) = tau(sub) * tau(quotient), all three acyclic.
-
-    Covers the compatible-basis case: total's basis is the image of sub's
-    basis followed by a lift of quotient's basis.
-    """
-    if len(sub.dims) != len(total.dims) or len(quotient.dims) != len(total.dims):
-        raise ValueError("complexes must have the same length")
-    for ds, dt, dq in zip(sub.dims, total.dims, quotient.dims):
-        if ds + dq != dt:
-            raise ValueError("dimensions do not add up degreewise")
-    ts = chain_torsion(sub)
-    tt = chain_torsion(total)
-    tq = chain_torsion(quotient)
-    if not (ts.acyclic and tt.acyclic and tq.acyclic):
-        raise ValueError("all three complexes must be acyclic")
-    return abs(tt.value - ts.value * tq.value) <= tol * abs(tt.value)

@@ -1,0 +1,63 @@
+"""Scalar S oracle from loop-operator trace weights, one entry at a time.
+
+Each label alpha carries loop operators (generator^exponent, degree d).  At
+character beta its weight is the product over those operators of
+chebyshev(d, epsilon * trace of the generator^exponent holonomy), and
+
+    S[a, b] = W[b][a] * W[0][b].
+
+The operators are read off the manifold, following the definitions of the
+paper, never from a candidate:
+- canonical Seifert unit: (x_k^{c_k}, degree j_k) on each fiber, epsilon = -1;
+- reseated Seifert unit: label j is the character of third degree r - 2 - j
+  and carries (x_3, degree j), epsilon = -1;
+- torus bundle: (x^{m k}, degree 1) on rho_k and (x, degree 0) on rho+-,
+  epsilon = +1.
+"""
+
+import math
+from fractions import Fraction
+
+from mtcforge.algebra import chebyshev, phase_cos
+from mtcforge.seifert import enumerate_characters
+from mtcforge.torus_bundle import enumerate_torus_characters
+
+
+def _weights(chars, ops, trace, epsilon):
+    """W[beta][alpha]: product over alpha's operators (generator, exponent,
+    degree) of chebyshev(degree, epsilon * trace(chars[beta], generator, exponent))."""
+    return [[math.prod(chebyshev(d, epsilon * trace(chi, g, e)) for g, e, d in label_ops)
+             for label_ops in ops] for chi in chars]
+
+
+def sfs_weights(M, unit="canonical"):
+    chars = enumerate_characters(M)
+    if unit == "reseated":
+        chars.sort(key=lambda chi: -chi.j[2])
+        ops = [[(2, 1, j)] for j in range(M.p[2] - 1)]
+    else:
+        ops = [[(k, f.c, chi.j[k]) for k, f in enumerate(M.fibers)] for chi in chars]
+
+    def trace(chi, k, e):
+        # x_k has eigenvalues e^{+-2 pi i n_k / p_k}
+        return phase_cos(Fraction(chi.n[k] * e, M.fibers[k].p))
+
+    return _weights(chars, ops, trace, -1)
+
+
+def torus_weights(T):
+    chars = enumerate_torus_characters(T)
+    ops = [[("x", T.m * c.k, 1)] if c.kind == "irreducible" else [("x", 1, 0)] for c in chars]
+
+    def trace(chi, _, e):
+        # x is diagonal at rho_k and (-1)^epsilon_x times unipotent at rho+-
+        if chi.kind == "irreducible":
+            return phase_cos(Fraction(chi.k * e, T.N))
+        return 2.0 * (-1) ** (chi.epsilon_x * e)
+
+    return _weights(chars, ops, trace, +1)
+
+
+def s_matrix(W):
+    n = len(W)
+    return [[W[b][a] * W[0][b] for b in range(n)] for a in range(n)]

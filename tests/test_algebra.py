@@ -13,9 +13,7 @@ from mtcforge.algebra import (
     chebyshev,
     chebyshev_table,
     mod2_kernel,
-    mod2_rank,
     parity_exp_sum,
-    parity_exp_sum_literal,
     parity_exp_sum_table,
 )
 
@@ -157,12 +155,11 @@ class TestMod2:
             rows, cols = rng.integers(1, 6, size=2)
             M = rng.integers(0, 2, size=(rows, cols))
             basis = mod2_kernel(M)
-            solutions = sum(
-                1 for mask in range(2**cols)
-                if not (M @ np.array([(mask >> i) & 1 for i in range(cols)]) % 2).any()
-            )
-            assert 2 ** len(basis) == solutions
-            assert len(basis) == cols - mod2_rank(M)
+            images = [tuple(M @ np.array([(mask >> i) & 1 for i in range(cols)]) % 2)
+                      for mask in range(2**cols)]
+            assert 2 ** len(basis) == images.count((0,) * rows)
+            # rank-nullity: the image has 2^rank elements
+            assert 2 ** (cols - len(basis)) == len(set(images))
             for v in basis:
                 assert not ((M @ v) % 2).any()
 
@@ -181,7 +178,8 @@ class TestParityExpSum:
 
     def test_derived_literal_case(self):
         # (9,2,3,1,0): independent literal evaluation over even m in 1..8
-        lit = parity_exp_sum_literal(9, 2, 3, 1, 0)
+        lit = sum(sj * sl * cmath.exp(1j * math.pi * (sj * 2 + sl * 3) * m / 9)
+                  for m in range(2, 9, 2) for sj in (1, -1) for sl in (1, -1))
         assert abs(lit) < 1e-12
         assert parity_exp_sum(9, 2, 3, 1, 0) == pytest.approx(0.0, abs=1e-12)
 
@@ -199,8 +197,6 @@ class TestParityExpSum:
     def test_even_r_requires_literal(self):
         with pytest.raises(ValueError):
             parity_exp_sum(9, 2, 3, 2, 0)
-        # the literal mode still evaluates
-        parity_exp_sum(9, 2, 3, 2, 0, literal=True)
 
     def test_non_unit_rejected(self):
         with pytest.raises(ValueError):

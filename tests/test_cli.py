@@ -3,6 +3,7 @@ import dataclasses
 import functools
 import io
 import json
+import os
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from pathlib import Path
@@ -198,6 +199,19 @@ class TestTorusCommand:
         assert code == 2 and out == ""
         assert "--oracle has no csv column" in err
 
+    def test_rank_budget_checked_before_building(self, monkeypatch):
+        def refuse(T):
+            raise AssertionError("torus_candidate called")
+
+        monkeypatch.setattr(cli, "torus_candidate", refuse)
+        # N = 9999, rank (N + 3) / 2 = 5,001
+        code, out, err = run_cli(["torus", "--monodromy", "9996,1,9995,1"])
+        assert code == 2 and out == ""
+        assert "rank 5001 exceeds 5000" in err
+        # rank 5,000 passes the bound
+        with pytest.raises(AssertionError, match="torus_candidate called"):
+            run_cli(["torus", "--monodromy", "9994,1,9993,1"])
+
     def test_bad_determinant_exit_2(self):
         code, _, err = run_cli(["torus", "--monodromy", "3,1,1,0"])
         assert code == 2 and "determinant" in err
@@ -380,6 +394,7 @@ class TestVerifyCommand:
         for name in ("sfs-tlj", "torus-son2", "verlinde"):
             spy_on(name)
         monkeypatch.setattr(suites, "ProcessPoolExecutor", InlinePool)
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
         code, _, _ = run_cli(["verify", "--suite", "sfs-tlj", "--suite", "torus-son2",
                               "--suite", "verlinde", "--max-p", "4", "--max-N", "9", "--jobs", "3"])
         assert code == 0

@@ -6,6 +6,7 @@ from math import gcd
 import numpy as np
 import pytest
 
+from loop_operator_oracle import s_matrix, sfs_weights, torus_weights
 from mtcforge.algebra import RationalPhase
 from mtcforge.catalog import (
     ModularData,
@@ -18,13 +19,11 @@ from mtcforge.catalog import (
     tlj_data,
 )
 from mtcforge.pipeline import (
-    LoopOperator,
     admissibility_report,
     certify,
     sfs_candidate,
     sl2z_diagnostics,
     torus_candidate,
-    w_symbol,
 )
 from mtcforge.seifert import enumerate_characters, make_sfs, z2_homology_sphere
 from mtcforge.torus_bundle import enumerate_torus_characters, make_torus_bundle, torus_cs
@@ -43,28 +42,31 @@ class TestWSymbols:
     def test_unit_column_is_dimensions(self):
         M = make_sfs([(5, 1), (3, 2), (5, 4)])
         C = sfs_candidate(M)
+        W = sfs_weights(M)
         for alpha in range(C.rank):
-            assert w_symbol(C, 0, alpha) == pytest.approx(C.data.dims[alpha], rel=1e-12)
+            assert W[0][alpha] == pytest.approx(C.data.dims[alpha], rel=1e-12)
 
     def test_degree_zero_operators_give_one(self):
-        T = make_torus_bundle(2, 1, 1, 1)
-        C = torus_candidate(T)
-        for beta in range(C.rank):
-            assert w_symbol(C, beta, 0) == 1.0  # rho+ carries a degree-0 operator
-            assert w_symbol(C, beta, 1) == 1.0
+        W = torus_weights(make_torus_bundle(2, 1, 1, 1))
+        for row in W:
+            assert row[0] == 1.0  # rho+ carries a degree-0 operator
+            assert row[1] == 1.0
 
     def test_pairwise_equals_assembled_matrix(self):
-        candidates = [sfs_candidate(make_sfs(pairs)) for pairs in
-                      [[(3, 1), (3, 1), (4, 1)], [(5, 1), (3, 2), (5, 4)], [(4, 3), (5, 2), (3, 2)]]]
-        candidates.append(sfs_candidate(make_sfs([(3, 1), (3, 1), (7, 1)]), unit="reseated"))
-        candidates += [torus_candidate(make_torus_bundle(*m))
-                       for m in [(2, 1, 1, 1), (-10, 9, -19, 17)]]
-        for C in candidates:
-            S = C.data.s_tilde
+        # the oracle derives each label's operators from the manifold alone
+        cases = [(sfs_candidate(M), sfs_weights(M)) for M in map(make_sfs, [
+            [(3, 1), (3, 1), (4, 1)], [(5, 1), (3, 2), (5, 4)], [(4, 3), (5, 2), (3, 2)]])]
+        M = make_sfs([(3, 1), (3, 1), (7, 1)])
+        cases.append((sfs_candidate(M, unit="reseated"), sfs_weights(M, unit="reseated")))
+        cases += [(torus_candidate(T), torus_weights(T))
+                  for T in (make_torus_bundle(*m) for m in [(2, 1, 1, 1), (-10, 9, -19, 17)])]
+        for C, W in cases:
+            want = s_matrix(W)
+            assert len(want) == C.rank
             for a in range(C.rank):
                 for b in range(C.rank):
-                    want = w_symbol(C, b, a) * w_symbol(C, 0, b)
-                    assert S[a, b].real == pytest.approx(want, rel=1e-10, abs=1e-12)
+                    assert C.data.s_tilde[a, b].real == pytest.approx(want[a][b], rel=1e-10,
+                                                                      abs=1e-12)
 
     def test_reseated_matrix_is_sine_ratio(self):
         r = 7
@@ -152,7 +154,7 @@ class TestTorusCandidate:
             T = make_torus_bundle(a, b, c, d)
             C = torus_candidate(T)
             for k in range(1, T.r + 1):
-                assert C.twist(1 + k) == phase(T.c_tilde * k * k, T.N)
+                assert C.data.twists[1 + k] == phase(T.c_tilde * k * k, T.N)
 
     def test_certifies_against_catalog(self):
         for (a, b, c, d) in [(2, 1, 1, 1), (1, 1, 3, 4), (8, 7, 1, 1), (2, 17, 1, 9)]:
@@ -275,7 +277,6 @@ class TestLazyViews:
             C = sfs_candidate(M, unit="reseated")
             by_j = {c.j[2]: c for c in enumerate_characters(M)}
             assert C.characters == tuple(by_j[r - 2 - j] for j in range(r - 1))
-            assert C.loop_ops == tuple((LoopOperator("x3", 1, j),) for j in range(r - 1))
 
     def test_torus_views(self):
         for mono in [(2, 1, 1, 1), (4, 1, 3, 1), (6, 1, 5, 1), (-10, 9, -19, 17)]:
@@ -284,9 +285,6 @@ class TestLazyViews:
             chars = enumerate_torus_characters(T)
             assert C.characters == tuple(chars)
             assert C.cs == tuple(torus_cs(T, c) for c in chars)
-            assert C.loop_ops == tuple(
-                (LoopOperator("x", T.m * c.k, 1),) if c.kind == "irreducible"
-                else (LoopOperator("x", 1, 0),) for c in chars)
 
 
 class TestConcurrency:

@@ -3,6 +3,7 @@ one run_suites call builds each pass once, and the pool workers it starts
 use one BLAS thread each."""
 
 import ctypes
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 
@@ -79,6 +80,29 @@ def test_suites_flag_doctored_passes():
     assert not son2.passed and son2.failures == [f"{mono}: transparent=('rho+',)"]
     res = suites.suite_admissibility(max_p=3, torus=tuple(torus))
     assert not res.passed and res.failures == [f"{mono}: gauss 0.0 != 1/sqrt(N)"]
+
+
+def test_jobs_capped_at_cpu_count(monkeypatch):
+    # the pool starts all of its max_workers at once
+    opened = []
+
+    class RecordingPool(suites._InProcess):
+        def __init__(self, max_workers, **kwargs):
+            opened.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+    monkeypatch.setattr(suites, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    names = ["sfs-tlj", "torus-son2"]
+    res = suites.run_suites(names, jobs=1000, max_p=4, max_N=9)
+    assert opened == [2]
+    assert [(r.passed, r.cases) for r in res] == \
+        [(r.passed, r.cases) for r in suites.run_suites(names, max_p=4, max_N=9)]
 
 
 def _blas_threads():

@@ -6,12 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mtcforge.torsion_engine import (
-    BasedChainComplex,
-    chain_torsion,
-    direct_sum,
-    multiplicativity_check,
-)
+from mtcforge.torsion_engine import BasedChainComplex, chain_torsion
 from mtcforge.torus_bundle import build_adjoint_complex, enumerate_torus_characters, make_torus_bundle
 
 
@@ -130,6 +125,40 @@ def change_basis(C, mats):
         if deg + 1 <= n:
             bnds[n - deg - 1] = Q @ bnds[n - deg - 1]
     return BasedChainComplex(C.dims, tuple(bnds))
+
+
+def direct_sum(A: BasedChainComplex, B: BasedChainComplex) -> BasedChainComplex:
+    """Block direct sum, basis of A followed by basis of B in each degree."""
+    if len(A.dims) != len(B.dims):
+        raise ValueError("complexes must have the same length")
+    dims = tuple(a + b for a, b in zip(A.dims, B.dims))
+    bnds = []
+    for da, db in zip(A.boundaries, B.boundaries):
+        M = np.zeros((da.shape[0] + db.shape[0], da.shape[1] + db.shape[1]), dtype=complex)
+        M[: da.shape[0], : da.shape[1]] = da
+        M[da.shape[0]:, da.shape[1]:] = db
+        bnds.append(M)
+    return BasedChainComplex(dims, tuple(bnds))
+
+
+def multiplicativity_check(sub: BasedChainComplex, total: BasedChainComplex,
+                           quotient: BasedChainComplex, tol: float = 1e-6) -> bool:
+    """Whether tau(total) = tau(sub) * tau(quotient), all three acyclic.
+
+    Covers the compatible-basis case: total's basis is the image of sub's
+    basis followed by a lift of quotient's basis.
+    """
+    if len(sub.dims) != len(total.dims) or len(quotient.dims) != len(total.dims):
+        raise ValueError("complexes must have the same length")
+    for ds, dt, dq in zip(sub.dims, total.dims, quotient.dims):
+        if ds + dq != dt:
+            raise ValueError("dimensions do not add up degreewise")
+    ts = chain_torsion(sub)
+    tt = chain_torsion(total)
+    tq = chain_torsion(quotient)
+    if not (ts.acyclic and tt.acyclic and tq.acyclic):
+        raise ValueError("all three complexes must be acyclic")
+    return abs(tt.value - ts.value * tq.value) <= tol * abs(tt.value)
 
 
 class TestMultiplicativity:
