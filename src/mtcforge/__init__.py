@@ -10,7 +10,6 @@ from .algebra import (
     PHASE_HALF,
     PHASE_ZERO,
     RationalPhase,
-    chebyshev,
     mod2_kernel,
     parity_exp_sum,
 )
@@ -48,7 +47,6 @@ from .torus_bundle import (
     build_adjoint_complex,
     enumerate_torus_characters,
     make_torus_bundle,
-    torus_cs,
     torus_torsion,
 )
 

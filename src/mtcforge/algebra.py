@@ -128,25 +128,11 @@ def phase_sin(t: Fraction | RationalPhase) -> float:
     return math.sin(2 * math.pi * f.numerator / f.denominator)
 
 
-def chebyshev(j: int, t: complex) -> complex:
-    """Character of the (j+1)-dimensional irreducible at trace t.
-
-    Three-term recursion D_{j+2} = t*D_{j+1} - D_j with D_0 = 1, D_1 = t;
-    equals sin((j+1)a)/sin(a) at t = 2cos(a).  The recursion is used rather
-    than the sine ratio so the value stays defined at sin(a) = 0.
-    """
-    if j < 0:
-        raise ValueError("degree must be nonnegative")
-    if j == 0:
-        return 1.0
-    prev, cur = 1.0, t
-    for _ in range(j - 1):
-        prev, cur = cur, t * cur - prev
-    return cur
-
-
 def chebyshev_table(degrees: int, ts: np.ndarray) -> np.ndarray:
-    """Matrix T[i, j] = chebyshev(j, ts[i]) for j = 0..degrees-1."""
+    """Matrix T[i, j] = D_j(ts[i]) for j < degrees, D_j(t) the character of the
+    (j+1)-dimensional irreducible at trace t: D_0 = 1, D_1 = t and D_{j+2} =
+    t*D_{j+1} - D_j.  This equals sin((j+1)a)/sin(a) at t = 2cos(a), but the
+    recursion stays defined at sin(a) = 0."""
     ts = np.asarray(ts)
     out = np.empty((ts.shape[0], degrees), dtype=ts.dtype)
     if degrees >= 1:

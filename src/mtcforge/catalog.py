@@ -164,13 +164,10 @@ def soN2_adjoint(N: int, m: int) -> ModularData:
     d = np.array([1.0, 1.0] + [2.0] * r)
     ks = np.arange(1, r + 1)
     twists = (np.concatenate([[0, 0], m % (2 * N) * (N * ks - ks * ks) % (2 * N)]), 2 * N)
-    S = np.empty((r + 2, r + 2), dtype=complex)
+    four_cos = np.array([4 * math.cos(2 * math.pi * n / N) for n in range(N)])
+    S = np.full((r + 2, r + 2), 2.0, dtype=complex)
     S[:2, :2] = 1.0
-    for k in range(1, r + 1):
-        S[0, 1 + k] = S[1, 1 + k] = S[1 + k, 0] = S[1 + k, 1] = 2.0
-        for j in range(k, r + 1):
-            v = 4 * math.cos(2 * math.pi * ((m * k * j) % N) / N)
-            S[1 + k, 1 + j] = S[1 + j, 1 + k] = v
+    S[2:, 2:] = four_cos[m * (np.outer(ks, ks) % N) % N]
     return ModularData(labels, d, twists, S, 2.0 * N).validate()
 
 

@@ -20,7 +20,6 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 
 import numpy as np
@@ -28,7 +27,6 @@ import numpy as np
 from . import seifert, torus_bundle
 from .algebra import (
     RationalPhase,
-    chebyshev,
     chebyshev_table,
     comparison_tolerance,
     phase_cos,
@@ -86,10 +84,12 @@ def _s_matrix(factors) -> np.ndarray:
     return S
 
 
-def _assemble(manifold_tag, manifold, J, labels, cs, twists, torsions, s_tilde, grading,
+def _assemble(manifold_tag, manifold, J, labels, cs, torsions, s_tilde, grading,
               central_actions) -> CandidateData:
-    """cs, twists: (residues, den) pairs."""
+    """cs: a (residues, den) pair; the twists are cs[0] - cs mod den."""
     # the unit is label 0, as ModularData requires
+    residues, den = cs
+    twists = ((residues[0] - residues) % den, den)
     dims = s_tilde[0, :].real.copy()
     D2 = 2.0 * float(torsions[0])
     data = ModularData(labels, dims, twists, s_tilde.astype(complex), D2, grading)
@@ -129,11 +129,10 @@ def _fiber_traces(f: seifert.SeifertFiber, e: int) -> np.ndarray:
 
 def _sfs_assemble(M: SeifertData, tag, J, labels, S, grading) -> CandidateData:
     """The characters with degree rows J, with exact CS values mod L =
-    lcm(4 p_k), twists cs[0] - cs, torsions and central actions."""
+    lcm(4 p_k), torsions and central actions."""
     cs, L, tors = seifert._label_tables(M, J)
     actions = tuple(seifert._central_reps(M, J, (cs, L)))
-    return _assemble(tag, M, J, labels, (cs, L), ((cs[0] - cs) % L, L), tors, S, grading,
-                     actions)
+    return _assemble(tag, M, J, labels, (cs, L), tors, S, grading, actions)
 
 
 def _sfs_canonical(M: SeifertData) -> CandidateData:
@@ -165,21 +164,19 @@ def torus_candidate(T: TorusMonodromy) -> CandidateData:
     the rank, (N + 3) / 2.  The CLI holds the bound."""
     chars = torus_bundle.enumerate_torus_characters(T)
     labels = tuple(c.label() for c in chars)
-    eps = +1
-    # (exponent, degree) of each label's single operator
-    E = np.array([(T.m * c.k, 1) if c.kind == "irreducible" else (1, 0) for c in chars])
-    cs = [torus_bundle.torus_cs(T, c) for c in chars]
     tors = np.array([torus_bundle.torus_torsion(T, c) for c in chars])
-    # W[beta, alpha]: alpha's single operator x^e at beta, where x has trace
-    # 2cos(2 pi k e / N) at an irreducible and is unipotent at a reducible
-    W = np.array([[chebyshev(d, eps * (phase_cos(Fraction(beta.k * e, T.N))
-                                       if beta.kind == "irreducible" else 2.0))
-                   for e, d in E.tolist()] for beta in chars])
+    # W[beta, alpha]: alpha's single operator x^e at beta.  A degree-0
+    # operator weighs 1; x^{m k_alpha} of degree 1 has trace 2 at a reducible,
+    # where x is unipotent, and 2cos(2 pi m k_alpha k_beta / N) at rho_{k_beta}
+    trace = np.array([phase_cos(RationalPhase.of(n, T.N)) for n in range(T.N)])
+    k = np.arange(1, T.r + 1, dtype=np.int64)
+    W = np.ones((len(labels), len(labels)))
+    W[:2, 2:] = 2.0
+    W[2:, 2:] = trace[T.m * (np.outer(k, k) % T.N) % T.N]
     S = _s_matrix([(W, None)])
     actions = tuple(torus_bundle.central_reps(T))
-    twists = RationalPhase.residues([cs[0] - c for c in cs])
-    return _assemble(T.tag(), T, None, labels, RationalPhase.residues(cs), twists, tors, S,
-                     None, actions)
+    return _assemble(T.tag(), T, None, labels, torus_bundle._cs_residues(T), tors, S, None,
+                     actions)
 
 
 @dataclass(frozen=True)

@@ -15,12 +15,11 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd
 
 import numpy as np
 
-from .algebra import CentralRep, RationalPhase, central_reps_mod2
+from .algebra import CentralRep, central_reps_mod2
 from .torsion_engine import BasedChainComplex
 
 
@@ -72,8 +71,6 @@ class TorusCharacter:
     kind: str
     k: int | None = None
     l: int | None = None
-    epsilon_x: int | None = None
-    epsilon_y: int | None = None
     u: complex | None = None
     v: complex | None = None
 
@@ -103,8 +100,8 @@ def enumerate_torus_characters(T: TorusMonodromy) -> list[TorusCharacter]:
     u, v2 = reducible_uv(T)
     v = math.sqrt(v2)
     chars = [
-        TorusCharacter("reducible_plus", epsilon_x=0, epsilon_y=0, u=u, v=v),
-        TorusCharacter("reducible_minus", epsilon_x=0, epsilon_y=0, u=u, v=-v),
+        TorusCharacter("reducible_plus", u=u, v=v),
+        TorusCharacter("reducible_minus", u=u, v=-v),
     ]
     for k in range(1, T.r + 1):
         l = (-T.c_tilde * (T.a + 1) * k) % T.N
@@ -112,13 +109,12 @@ def enumerate_torus_characters(T: TorusMonodromy) -> list[TorusCharacter]:
     return chars
 
 
-def torus_cs(T: TorusMonodromy, chi: TorusCharacter) -> RationalPhase:
-    """Exact Chern-Simons value mod 1."""
-    if chi.kind == "irreducible":
-        _require_supported(T)
-        return RationalPhase.of(Fraction(-T.c_tilde * chi.k * chi.k, T.N))
-    ex, ey = chi.epsilon_x, chi.epsilon_y
-    return RationalPhase.of(Fraction((T.a + T.d + 2) * ex * ey + T.b * ex + T.c * ey, 4))
+def _cs_residues(T: TorusMonodromy) -> tuple[np.ndarray, int]:
+    """Exact Chern-Simons values in character order, as int64 residues mod N:
+    0 at rho+ and rho-, -c~ k^2 at rho_k.  k^2 is reduced mod N first, so no
+    product exceeds N^2."""
+    k = np.arange(1, T.r + 1, dtype=np.int64)
+    return np.concatenate([[0, 0], -T.c_tilde * (k * k % T.N) % T.N]), T.N
 
 
 def torus_torsion(T: TorusMonodromy, chi: TorusCharacter) -> float:
@@ -255,12 +251,12 @@ def central_reps(T: TorusMonodromy) -> list[CentralRep]:
     The kernel is generated by the sign rep on h, which exchanges the two
     reducible characters and fixes every irreducible one.
     """
-    chars = enumerate_torus_characters(T)
+    _require_supported(T)
+    cs = _cs_residues(T)
 
     def permute(sigma):
         if sigma != (0, 0, 1):
             raise ValueError(f"unexpected central representation {sigma}")
-        return (1, 0) + tuple(range(2, len(chars)))
+        return (1, 0) + tuple(range(2, len(cs[0])))
 
-    cs = RationalPhase.residues([torus_cs(T, c) for c in chars])
     return central_reps_mod2(relation_matrix_mod2(T), cs, permute)

@@ -13,14 +13,33 @@ paper, never from a candidate:
   and carries (x_3, degree j), epsilon = -1;
 - torus bundle: (x^{m k}, degree 1) on rho_k and (x, degree 0) on rho+-,
   epsilon = +1.
+
+`torus_cs` is the closed-form Chern-Simons value of a torus-bundle
+character, for checking the candidate's residue table.
 """
 
 import math
 from fractions import Fraction
 
-from mtcforge.algebra import chebyshev, phase_cos
+from mtcforge.algebra import RationalPhase, phase_cos
 from mtcforge.seifert import enumerate_characters
 from mtcforge.torus_bundle import enumerate_torus_characters
+
+
+def chebyshev(j, t):
+    """Character of the (j+1)-dimensional irreducible at trace t, by the
+    recursion D_{j+2} = t*D_{j+1} - D_j with D_0 = 1, D_1 = t."""
+    prev, cur = 1.0, t
+    for _ in range(j):
+        prev, cur = cur, t * cur - prev
+    return prev
+
+
+def torus_cs(T, chi):
+    """Chern-Simons value mod 1: -c~ k^2 / N at rho_k, 0 at rho+-."""
+    if chi.kind == "irreducible":
+        return RationalPhase.of(Fraction(-T.c_tilde * chi.k * chi.k, T.N))
+    return RationalPhase(0, 1)
 
 
 def _weights(chars, ops, trace, epsilon):
@@ -50,10 +69,10 @@ def torus_weights(T):
     ops = [[("x", T.m * c.k, 1)] if c.kind == "irreducible" else [("x", 1, 0)] for c in chars]
 
     def trace(chi, _, e):
-        # x is diagonal at rho_k and (-1)^epsilon_x times unipotent at rho+-
+        # x is diagonal at rho_k and unipotent at rho+-
         if chi.kind == "irreducible":
             return phase_cos(Fraction(chi.k * e, T.N))
-        return 2.0 * (-1) ** (chi.epsilon_x * e)
+        return 2.0
 
     return _weights(chars, ops, trace, +1)
 

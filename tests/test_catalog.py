@@ -177,6 +177,24 @@ class TestSoN2Adjoint:
         assert np.allclose(D.dims, [1, 1] + [2] * 5)
         assert D.total_dim_sq == pytest.approx(22.0)
 
+    def test_matches_entry_loop(self):
+        # the gathered table against the entry-by-entry construction
+        def entry_loop(N, m):
+            r = (N - 1) // 2
+            S = np.empty((r + 2, r + 2), dtype=complex)
+            S[:2, :2] = 1.0
+            for k in range(1, r + 1):
+                S[0, 1 + k] = S[1, 1 + k] = S[1 + k, 0] = S[1 + k, 1] = 2.0
+                for j in range(k, r + 1):
+                    v = 4 * math.cos(2 * math.pi * ((m * k * j) % N) / N)
+                    S[1 + k, 1 + j] = S[1 + j, 1 + k] = v
+            return S
+
+        for N, m in [(5, 7), (9, 11), (15, 7), (403, 5)]:
+            for sign in (1, -1):
+                got = soN2_adjoint(N, sign * m).s_tilde
+                assert got.tobytes() == entry_loop(N, sign * m).tobytes()
+
     def test_invalid_parameters(self):
         with pytest.raises(ValueError):
             soN2_adjoint(6, 1)

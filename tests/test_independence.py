@@ -1,6 +1,8 @@
 """The candidate path (seifert, torus_bundle, pipeline) shares no code with
 its checkers (catalog, torsion_engine); otherwise certification would be
-tautological.  Checked on the import statements of each module's source."""
+tautological.  Checked on the import statements of each module's source.
+The torus and assembly modules carry exact phases as int64 residues, so they
+import nothing from fractions."""
 
 import ast
 from pathlib import Path
@@ -55,3 +57,11 @@ def test_candidate_path_takes_only_data_types_from_checkers(module):
 def test_checkers_import_nothing_from_candidate_path(module):
     taken = [m for m, _ in imported((SRC / f"{module}.py").read_text())]
     assert not set(taken) & set(CANDIDATE), taken
+
+
+@pytest.mark.parametrize("module", ("pipeline", "torus_bundle"))
+def test_residue_modules_import_nothing_from_fractions(module):
+    tree = ast.parse((SRC / f"{module}.py").read_text())
+    modules = [a.name for n in ast.walk(tree) if isinstance(n, ast.Import) for a in n.names]
+    modules += [n.module for n in ast.walk(tree) if isinstance(n, ast.ImportFrom)]
+    assert "fractions" not in modules

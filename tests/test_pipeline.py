@@ -6,7 +6,7 @@ from math import gcd
 import numpy as np
 import pytest
 
-from loop_operator_oracle import s_matrix, sfs_weights, torus_weights
+from loop_operator_oracle import s_matrix, sfs_weights, torus_cs, torus_weights
 from mtcforge.algebra import RationalPhase
 from mtcforge.catalog import (
     ModularData,
@@ -26,7 +26,7 @@ from mtcforge.pipeline import (
     torus_candidate,
 )
 from mtcforge.seifert import enumerate_characters, make_sfs, z2_homology_sphere
-from mtcforge.torus_bundle import enumerate_torus_characters, make_torus_bundle, torus_cs
+from mtcforge.torus_bundle import central_reps, enumerate_torus_characters, make_torus_bundle
 
 
 def phase(num, den):
@@ -58,15 +58,13 @@ class TestWSymbols:
             [(3, 1), (3, 1), (4, 1)], [(5, 1), (3, 2), (5, 4)], [(4, 3), (5, 2), (3, 2)]])]
         M = make_sfs([(3, 1), (3, 1), (7, 1)])
         cases.append((sfs_candidate(M, unit="reseated"), sfs_weights(M, unit="reseated")))
-        cases += [(torus_candidate(T), torus_weights(T))
-                  for T in (make_torus_bundle(*m) for m in [(2, 1, 1, 1), (-10, 9, -19, 17)])]
+        # (400, 1, 399, 1): N = 403 = 13 * 31 is composite, rank 203
+        cases += [(torus_candidate(T), torus_weights(T)) for T in (
+            make_torus_bundle(*m) for m in [(2, 1, 1, 1), (-10, 9, -19, 17), (400, 1, 399, 1)])]
         for C, W in cases:
-            want = s_matrix(W)
-            assert len(want) == C.rank
-            for a in range(C.rank):
-                for b in range(C.rank):
-                    assert C.data.s_tilde[a, b].real == pytest.approx(want[a][b], rel=1e-10,
-                                                                      abs=1e-12)
+            want = np.array(s_matrix(W))
+            assert want.shape == (C.rank, C.rank)
+            np.testing.assert_allclose(C.data.s_tilde.real, want, rtol=1e-10, atol=1e-12)
 
     def test_reseated_matrix_is_sine_ratio(self):
         r = 7
@@ -279,12 +277,17 @@ class TestLazyViews:
             assert C.characters == tuple(by_j[r - 2 - j] for j in range(r - 1))
 
     def test_torus_views(self):
-        for mono in [(2, 1, 1, 1), (4, 1, 3, 1), (6, 1, 5, 1), (-10, 9, -19, 17)]:
+        for mono in [(2, 1, 1, 1), (4, 1, 3, 1), (6, 1, 5, 1), (-10, 9, -19, 17),
+                     (400, 1, 399, 1)]:
             T = make_torus_bundle(*mono)
             C = torus_candidate(T)
             chars = enumerate_torus_characters(T)
             assert C.characters == tuple(chars)
-            assert C.cs == tuple(torus_cs(T, c) for c in chars)
+            cs = tuple(torus_cs(T, c) for c in chars)
+            assert C.cs == cs
+            for rep in central_reps(T):
+                assert [RationalPhase.of(x, rep.cs_den) for x in rep.cs_diffs.tolist()] == \
+                    [cs[j] - cs[i] for i, j in enumerate(rep.permutation)]
 
 
 class TestConcurrency:

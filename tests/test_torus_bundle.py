@@ -1,14 +1,13 @@
 import math
-from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from mtcforge.algebra import RationalPhase, mod2_kernel
+from mtcforge.algebra import mod2_kernel
 from mtcforge.torsion_engine import BasedChainComplex, chain_torsion
 from mtcforge.torus_bundle import (
-    TorusCharacter,
     _adjoint_evaluator,
+    _cs_residues,
     build_adjoint_complex,
     central_reps,
     connecting_word,
@@ -16,7 +15,6 @@ from mtcforge.torus_bundle import (
     make_torus_bundle,
     relation_matrix_mod2,
     reducible_uv,
-    torus_cs,
     torus_torsion,
 )
 
@@ -94,20 +92,13 @@ class TestCharacters:
 
 class TestClosedForms:
     def test_cs_reducible_zero(self):
-        T = make_torus_bundle(2, 1, 1, 1)
-        plus, minus = enumerate_torus_characters(T)[:2]
-        assert torus_cs(T, plus) == RationalPhase(0, 1)
-        assert torus_cs(T, minus) == RationalPhase(0, 1)
+        cs, N = _cs_residues(make_torus_bundle(2, 1, 1, 1))
+        assert N == 5
+        assert cs[:2].tolist() == [0, 0]
 
     def test_cs_irreducible_example(self):
-        T = make_torus_bundle(2, 1, 1, 1)
-        rho1 = enumerate_torus_characters(T)[2]
-        assert torus_cs(T, rho1) == RationalPhase(4, 5)  # -1/5 mod 1
-
-    def test_cs_general_reducible_sign_pattern(self):
-        T = make_torus_bundle(2, 1, 1, 1)
-        chi = TorusCharacter("reducible_plus", epsilon_x=1, epsilon_y=0, u=0.1, v=1.0)
-        assert torus_cs(T, chi) == RationalPhase.of(Fraction(T.b, 4))
+        cs, N = _cs_residues(make_torus_bundle(2, 1, 1, 1))
+        assert cs[2] == 4  # rho_1: -1/5 mod 1
 
     def test_torsion_values(self):
         T = make_torus_bundle(2, 1, 1, 1)
