@@ -26,7 +26,10 @@ class ModularData:
     optional Z2 grading.  Arrays are frozen read-only.  Residue contract:
     twist i is stored as twist_residues[i] / twist_den in Q/Z, given to the
     constructor as a (residues, den) pair or a tuple of RationalPhase;
-    `twists` is the tuple of reduced RationalPhase, built on first access."""
+    `twists` is the tuple of reduced RationalPhase, built on first access.
+    dtype contract: s_tilde is float64 when every entry is real (a complex
+    input with an all-zero imaginary part keeps its real part), and
+    complex128 only when some imaginary part is nonzero."""
 
     labels: tuple[str, ...]
     dims: np.ndarray
@@ -42,8 +45,12 @@ class ModularData:
             raise ValueError(f"twist denominator {den} exceeds 2^31")
         object.__delattr__(self, "twists")
         object.__setattr__(self, "twist_den", den)
+        S = np.asarray(self.s_tilde)
+        if np.iscomplexobj(S) and not S.imag.any():
+            S = S.real
+        S = np.ascontiguousarray(S, dtype=complex if np.iscomplexobj(S) else float)
         for name, a in (("dims", np.ascontiguousarray(self.dims, dtype=float)),
-                        ("s_tilde", np.ascontiguousarray(self.s_tilde, dtype=complex)),
+                        ("s_tilde", S),
                         ("twist_residues", np.asarray(res, dtype=np.int64) % den)):
             a.setflags(write=False)
             object.__setattr__(self, name, a)
@@ -66,9 +73,10 @@ class ModularData:
         S = self.s_tilde
         if S.shape != (r, r) or len(self.dims) != r or len(self.twist_residues) != r:
             raise ValueError("inconsistent rank")
-        if not np.all(np.isfinite(S)):
+        # NaN and +-inf propagate through both maxima: one pass checks finiteness
+        scale = np.maximum(1.0, np.abs(S).max())
+        if not np.isfinite(scale):
             raise ValueError("non-finite S entries")
-        scale = max(1.0, np.abs(S).max())
         if np.abs(S - S.T).max() > tol * scale:
             raise ValueError("S-matrix not symmetric")
         if abs(S[0, 0] - 1.0) > tol:
@@ -98,12 +106,6 @@ class ModularityReport:
     s_det_modulus: float
 
 
-def quantum_integer(A: RationalPhase, n: int) -> float:
-    """[n] at Kauffman variable e^{2*pi*i*A}, as an exact sine ratio."""
-    t = A.as_fraction()
-    return phase_sin(2 * n * t) / phase_sin(2 * t)
-
-
 @lru_cache(maxsize=None)
 def tlj_data(A_phase: RationalPhase) -> ModularData:
     """Kauffman-bracket premodular data at variable A = e^{2*pi*i*A_phase}.
@@ -118,14 +120,16 @@ def tlj_data(A_phase: RationalPhase) -> ModularData:
     if r < 2:
         raise ValueError("A^4 = 1: no associated category")
     labels = tuple(str(j) for j in range(r - 1))
-    d = np.array([(-1) ** j * quantum_integer(A_phase, j + 1) for j in range(r - 1)])
     minus_A = (A_phase + Fraction(1, 2)).as_fraction()
     twists = tuple(RationalPhase.of(j * (j + 2) * minus_A) for j in range(r - 1))
-    S = np.array(
-        [[(-1) ** (i + j) * quantum_integer(A_phase, (i + 1) * (j + 1)) for j in range(r - 1)]
-         for i in range(r - 1)],
-        dtype=complex,
-    )
+    # S[i, j] = (-1)^(i+j) [(i+1)(j+1)] with [n] = sin(2 pi n t) / sin(2 pi 2t), t = a/b:
+    # sin(2 pi n t) is the sine of the residue 2an mod b, exactly reduced
+    a, b = A_phase.numerator, A_phase.denominator
+    sines = np.array([phase_sin(RationalPhase.of(k, b)) for k in range(b)])
+    n = np.arange(1, r, dtype=np.int64)
+    sign = 1 - 2 * ((n[:, None] + n) % 2)
+    S = sign * sines[2 * a * np.outer(n, n) % b] / phase_sin(2 * t)
+    d = S[0].copy()
     D2 = 2 * r / (2 * phase_sin(2 * t)) ** 2
     grading = tuple(j % 2 for j in range(r - 1))
     return ModularData(labels, d, twists, S, D2, grading).validate()
@@ -139,12 +143,9 @@ def su2_level(k: int) -> ModularData:
     r = k + 2
     labels = tuple(str(j) for j in range(k + 1))
     s1 = math.sin(math.pi / r)
-    S = np.array(
-        [[math.sin((i + 1) * (j + 1) * math.pi / r) / s1 for j in range(k + 1)]
-         for i in range(k + 1)],
-        dtype=complex,
-    )
-    d = S[0, :].real.copy()
+    S = np.array([[math.sin((i + 1) * (j + 1) * math.pi / r) / s1 for j in range(k + 1)]
+                  for i in range(k + 1)])
+    d = S[0].copy()
     twists = tuple(RationalPhase.of(Fraction(j * (j + 2), 4 * r)) for j in range(k + 1))
     D2 = (r / 2) / s1**2
     grading = tuple(j % 2 for j in range(k + 1))
@@ -165,7 +166,7 @@ def soN2_adjoint(N: int, m: int) -> ModularData:
     ks = np.arange(1, r + 1)
     twists = (np.concatenate([[0, 0], m % (2 * N) * (N * ks - ks * ks) % (2 * N)]), 2 * N)
     four_cos = np.array([4 * math.cos(2 * math.pi * n / N) for n in range(N)])
-    S = np.full((r + 2, r + 2), 2.0, dtype=complex)
+    S = np.full((r + 2, r + 2), 2.0)
     S[:2, :2] = 1.0
     S[2:, 2:] = four_cos[m * (np.outer(ks, ks) % N) % N]
     return ModularData(labels, d, twists, S, 2.0 * N).validate()
@@ -208,7 +209,8 @@ def find_transparent(D: ModularData, tol: float | None = None) -> ModularityRepo
     coeff = S[:, 0] / D.dims[0]
     rows = np.abs(S - coeff[:, None] * D.dims).max(axis=1) <= tol * max(scale, 1.0)
     transparent = [D.labels[i] for i in np.flatnonzero(rows)]
-    sign, logabs = np.linalg.slogdet(S)
+    # complex, as the golden outputs were written: a real LU rounds differently
+    sign, logabs = np.linalg.slogdet(S.astype(complex))
     if sign == 0:
         det_mod = 0.0
     else:

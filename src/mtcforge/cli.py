@@ -96,6 +96,13 @@ def _fmt(x: float) -> str:
     return format(float(x), ".12g")
 
 
+def _fractions(residues: np.ndarray, den: int) -> list[str]:
+    """"num/den" in lowest terms for residues in [0, den), as the reduced
+    RationalPhase prints them: 0 gives 0/1."""
+    g = np.gcd(residues, den)
+    return [f"{n}/{d}" for n, d in zip((residues // g).tolist(), (den // g).tolist())]
+
+
 def _json_default(obj):
     if isinstance(obj, (np.bool_,)):
         return bool(obj)
@@ -150,25 +157,24 @@ def _candidate_report(C, reference, cert, extra) -> dict:
 def _emit(C, reference, cert, extra: dict, fmt: str, stream) -> None:
     """Write a candidate in the requested format; json goes through the full
     report, csv and pretty read the candidate directly, and csv prints only
-    the per-label table."""
+    the per-label table, with its fractions taken from the residue arrays."""
     if fmt == "json":
         json.dump(_candidate_report(C, reference, cert, extra), stream, indent=2,
                   default=_json_default)
         stream.write("\n")
         return
     D = C.data
-    rows = zip(C.labels, D.twists, D.dims, C.cs, C.torsions)
     if fmt == "csv":
         w = csv.writer(stream)
         w.writerow(["label", "twist", "dim", "cs", "torsion"])
-        for lab, tw, dim, cs, tor in rows:
-            w.writerow([lab, f"{tw.numerator}/{tw.denominator}", _fmt(dim),
-                        f"{cs.numerator}/{cs.denominator}", _fmt(tor)])
+        w.writerows(zip(C.labels, _fractions(D.twist_residues, D.twist_den),
+                        map(_fmt, D.dims.tolist()), _fractions(C.cs_residues, C.cs_den),
+                        map(_fmt, C.torsions.tolist())))
         return
     # pretty
     print(f"manifold: {C.manifold_tag}   rank {C.rank}", file=stream)
     print(f"{'label':>12} {'twist':>9} {'dim':>16} {'CS':>9} {'torsion':>16}", file=stream)
-    for lab, tw, dim, cs, tor in rows:
+    for lab, tw, dim, cs, tor in zip(C.labels, D.twists, D.dims, C.cs, C.torsions):
         print(f"{lab:>12} {tw.numerator:>4}/{tw.denominator:<4} {_fmt(dim):>16} "
               f"{cs.numerator:>4}/{cs.denominator:<4} {_fmt(tor):>16}", file=stream)
     print("S-matrix (un-normalized):", file=stream)

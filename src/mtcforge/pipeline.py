@@ -90,9 +90,9 @@ def _assemble(manifold_tag, manifold, J, labels, cs, torsions, s_tilde, grading,
     # the unit is label 0, as ModularData requires
     residues, den = cs
     twists = ((residues[0] - residues) % den, den)
-    dims = s_tilde[0, :].real.copy()
+    dims = s_tilde[0].copy()
     D2 = 2.0 * float(torsions[0])
-    data = ModularData(labels, dims, twists, s_tilde.astype(complex), D2, grading)
+    data = ModularData(labels, dims, twists, s_tilde, D2, grading)
     data.validate(require_dim_sum=False)
     torsions = np.asarray(torsions, dtype=float)
     if np.abs(np.abs(data.s_tilde[0, :]) ** 2 - D2 / (2.0 * torsions)).max() \
@@ -268,7 +268,9 @@ def sl2z_diagnostics(D: ModularData) -> dict[str, float]:
     lambda fitted from the (0,0) entry.  Diagnostic only.  Four complex
     matmuls: ST scales the columns of S by theta, and (ST)^3 = (ST ST) ST and
     S^4 = S^2 S^2 are the products `matrix_power` forms."""
-    S = D.s_tilde / math.sqrt(D.total_dim_sq)
+    # cast before dividing: the golden outputs were written with numpy's
+    # complex division, which rounds differently from the real one
+    S = D.s_tilde.astype(complex) / math.sqrt(D.total_dim_sq)
     ST = S * D.theta()
     ST3 = (ST @ ST) @ ST
     S2 = S @ S

@@ -1,10 +1,16 @@
 """Closed forms of Kauffman-bracket quantities that the tests compare
-against: the per-fiber quantum dimensions of a Seifert character and the
-total dimension of the Kauffman data at A."""
+against: quantum integers, the per-fiber quantum dimensions of a Seifert
+character and the total dimension of the Kauffman data at A."""
 
 import math
 
 from mtcforge.algebra import RationalPhase, phase_sin
+
+
+def quantum_integer(A: RationalPhase, n: int) -> float:
+    """[n] at Kauffman variable e^{2*pi*i*A}, as an exact sine ratio."""
+    t = A.as_fraction()
+    return phase_sin(2 * n * t) / phase_sin(2 * t)
 
 
 def tlj_dim(A: RationalPhase, j: int) -> float:

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kauffman_closed_forms import total_dim
+from kauffman_closed_forms import quantum_integer, total_dim
 from mtcforge.algebra import RationalPhase
 from mtcforge.catalog import (
     ModularData,
@@ -15,7 +15,6 @@ from mtcforge.catalog import (
     fusion_defects,
     graded_order_permutation,
     graded_product,
-    quantum_integer,
     reorder,
     soN2_adjoint,
     su2_level,
@@ -107,6 +106,18 @@ class TestKauffmanData:
         assert quantum_integer(A, 2) == pytest.approx(math.sqrt(2), rel=1e-12)
         assert quantum_integer(A, 4) == pytest.approx(0.0, abs=1e-12)
 
+    def test_matches_quantum_integer_loop(self):
+        # the sine-table gather against the scalar double loop it replaced
+        phases = [RationalPhase.of(n, d) for d in range(1, 25) for n in range(d)]
+        phases = [A for A in phases if (4 * A).order() >= 2]
+        phases += [phase(5, 116), phase(43, 100), phase(37, 500)]
+        for A in phases:
+            D = tlj_data(A)
+            n = range(1, D.rank + 1)
+            S = np.array([[(-1) ** (i + j) * quantum_integer(A, i * j) for j in n] for i in n])
+            assert D.s_tilde.tobytes() == S.tobytes(), A
+            assert D.dims.tobytes() == S[0].tobytes(), A
+
 
 class TestFindTransparent:
     @staticmethod
@@ -181,7 +192,7 @@ class TestSoN2Adjoint:
         # the gathered table against the entry-by-entry construction
         def entry_loop(N, m):
             r = (N - 1) // 2
-            S = np.empty((r + 2, r + 2), dtype=complex)
+            S = np.empty((r + 2, r + 2))
             S[:2, :2] = 1.0
             for k in range(1, r + 1):
                 S[0, 1 + k] = S[1, 1 + k] = S[1 + k, 0] = S[1 + k, 1] = 2.0
@@ -337,3 +348,39 @@ class TestHelpers:
         bad = ModularData(D.labels, D.dims, D.twists, D.s_tilde, D.total_dim_sq + 1.0)
         with pytest.raises(ValueError, match="dims"):
             bad.validate()
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf,
+                                       complex(math.nan, 1.0), complex(1.0, math.inf)])
+    def test_validate_rejects_non_finite_entries(self, value):
+        D = su2_level(3)
+        S = D.s_tilde.astype(type(value))
+        S[2, 1] = value
+        bad = ModularData(D.labels, D.dims, D.twists, S, D.total_dim_sq)
+        with pytest.raises(ValueError, match="non-finite S entries"):
+            bad.validate()
+
+
+class TestRealS:
+    """s_tilde is float64 whenever every entry is real, complex128 otherwise."""
+
+    def test_builders_store_float64(self):
+        built = [tlj_data(phase(1, 16)), tlj_data(phase(7, 12)), su2_level(0), su2_level(5),
+                 soN2_adjoint(9, -11), graded_product(su2_level(2), tlj_data(phase(3, 28)))]
+        for D in built:
+            assert D.s_tilde.dtype == np.float64, D.labels
+
+    def test_complex_data_stays_complex(self):
+        a = np.arange(3)
+        S = np.exp(2j * np.pi * np.outer(a, a) / 3)
+        D = ModularData(("0", "1", "2"), np.ones(3), (a * a % 3, 3), S, 3.0).validate()
+        assert D.s_tilde.dtype == np.complex128
+        assert D.s_tilde.tobytes() == S.tobytes()
+
+    def test_real_complex_input_comes_back_float64(self):
+        D = su2_level(4)
+        S = D.s_tilde * (1 + 0j)
+        S.imag[1, 2] = -0.0
+        E = ModularData(D.labels, D.dims, D.twists, S, D.total_dim_sq, D.grading)
+        assert E.s_tilde.dtype == np.float64 and E.s_tilde.flags.c_contiguous
+        assert E.s_tilde.tobytes() == S.real.copy().tobytes() == D.s_tilde.tobytes()
+        assert not E.s_tilde.flags.writeable

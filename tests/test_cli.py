@@ -10,6 +10,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from mtcforge import cli, torus_bundle
 from mtcforge.algebra import RationalPhase
@@ -71,6 +73,17 @@ class TestSerialization:
             assert back.twists == D.twists
             assert np.abs(back.s_tilde - D.s_tilde).max() == 0.0
             assert modular_data_to_json(back) == obj
+
+
+@given(st.integers(1, 2**31).flatmap(
+    lambda den: st.tuples(st.lists(st.integers(0, den - 1), max_size=20), st.just(den))))
+@example(([], 1))
+def test_csv_fractions_match_rational_phase(case):
+    # the csv columns once came from the reduced RationalPhase views
+    residues, den = [0] + case[0], case[1]
+    phases = [RationalPhase.of(r, den) for r in residues]
+    assert cli._fractions(np.array(residues, dtype=np.int64), den) == \
+        [f"{t.numerator}/{t.denominator}" for t in phases]
 
 
 class TestSfsCommand:

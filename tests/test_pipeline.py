@@ -172,6 +172,15 @@ class TestTorusCandidate:
             torus_candidate(make_torus_bundle(3, 1, 2, 1))
 
 
+def test_candidates_store_float64():
+    # every S either family builds is real, so ModularData keeps it as float64
+    candidates = [sfs_candidate(make_sfs([(5, 1), (3, 2), (5, 4)])),
+                  sfs_candidate(make_sfs([(3, 1), (3, 1), (7, 1)]), unit="reseated"),
+                  torus_candidate(make_torus_bundle(2, 17, 1, 9))]
+    for C in candidates:
+        assert C.data.s_tilde.dtype == np.float64, C.manifold_tag
+
+
 class TestAdmissibility:
     def test_z2_sphere_target(self):
         M = make_sfs([(5, 1), (3, 2), (5, 4)])
@@ -341,8 +350,9 @@ class TestDiagnostics:
 
     @staticmethod
     def matrix_power_diagnostics(D):
-        # the dense-T, six-matmul formula the golden outputs were written with
-        S = D.s_tilde / math.sqrt(D.total_dim_sq)
+        # the dense-T, six-matmul formula the golden outputs were written with,
+        # on the complex S they were written from
+        S = D.s_tilde.astype(complex) / math.sqrt(D.total_dim_sq)
         T = np.diag(D.theta())
         ST3 = np.linalg.matrix_power(S @ T, 3)
         S2 = S @ S
