@@ -10,7 +10,6 @@ from .algebra import (
     PHASE_HALF,
     PHASE_ZERO,
     RationalPhase,
-    mod2_kernel,
     parity_exp_sum,
 )
 from .catalog import (

@@ -1,5 +1,6 @@
-"""Exact rational phases, Chebyshev trace polynomials, mod-2 linear algebra,
-and the central representations it enumerates.
+"""Exact rational phases, Chebyshev trace polynomials, central representations
+(the at most 16 F_2 solutions of the abelianized relations, found by testing
+every exponent vector) and parity-restricted exponential sums.
 
 Everything downstream leans on two facts: twists and Chern-Simons values are
 roots of unity carried exactly as elements of Q/Z, while matrix entries are
@@ -117,10 +118,10 @@ PHASE_ZERO = RationalPhase(0, 1)
 PHASE_HALF = RationalPhase(1, 2)
 
 
-def phase_cos(t: Fraction | RationalPhase, scale: int = 2) -> float:
-    """scale * cos(2*pi*t) with the angle reduced exactly mod 1 first."""
+def phase_cos(t: Fraction | RationalPhase) -> float:
+    """2cos(2*pi*t) with the angle reduced exactly mod 1 first."""
     f = t if isinstance(t, RationalPhase) else RationalPhase.of(t)
-    return scale * math.cos(2 * math.pi * f.numerator / f.denominator)
+    return 2 * math.cos(2 * math.pi * f.numerator / f.denominator)
 
 
 def phase_sin(t: Fraction | RationalPhase) -> float:
@@ -141,64 +142,6 @@ def chebyshev_table(degrees: int, ts: np.ndarray) -> np.ndarray:
         out[:, 1] = ts
     for j in range(2, degrees):
         out[:, j] = ts * out[:, j - 1] - out[:, j - 2]
-    return out
-
-
-def as_mod2(M) -> np.ndarray:
-    A = np.asarray(M, dtype=np.int64) % 2
-    if A.ndim != 2:
-        raise ValueError("expected a matrix")
-    return A.astype(np.uint8)
-
-
-def _row_reduce_mod2(M: np.ndarray):
-    A = as_mod2(M)
-    rows, cols = A.shape
-    A = A.tolist()   # list entries index far faster than numpy scalars
-    pivots = []
-    r = 0
-    for c in range(cols):
-        hit = next((rr for rr in range(r, rows) if A[rr][c]), None)
-        if hit is None:
-            continue
-        A[r], A[hit] = A[hit], A[r]
-        for rr in range(rows):
-            if rr != r and A[rr][c]:
-                A[rr] = [x ^ y for x, y in zip(A[rr], A[r])]
-        pivots.append(c)
-        r += 1
-        if r == rows:
-            break
-    return A, cols, pivots
-
-
-def mod2_kernel(M) -> list[np.ndarray]:
-    """Basis of the null space {v : Mv = 0} over F_2."""
-    A, cols, pivots = _row_reduce_mod2(M)
-    free = [c for c in range(cols) if c not in pivots]
-    basis = []
-    for fc in free:
-        v = np.zeros(cols, dtype=np.uint8)
-        v[fc] = 1
-        for i, pc in enumerate(pivots):
-            v[pc] = A[i][fc]
-        basis.append(v)
-    return basis
-
-
-def mod2_span(basis: list[np.ndarray], width: int | None = None) -> list[np.ndarray]:
-    """All vectors in the F_2-span of basis, trivial vector first."""
-    if width is None:
-        if not basis:
-            raise ValueError("width required for an empty basis")
-        width = len(basis[0])
-    out = []
-    for mask in range(2 ** len(basis)):
-        v = np.zeros(width, dtype=np.uint8)
-        for i, b in enumerate(basis):
-            if mask >> i & 1:
-                v ^= b
-        out.append(v)
     return out
 
 
@@ -229,14 +172,16 @@ class CentralRep:
 
 def central_reps_mod2(relations, cs_values: tuple[np.ndarray, int], permute) -> list[CentralRep]:
     """One CentralRep per F_2 solution sigma of the abelianized relations,
-    trivial first, for labels with Chern-Simons values cs_values, a (residues,
-    den) pair.  permute(sigma) gives the induced label permutation; it is not
+    for labels with Chern-Simons values cs_values, a (residues, den) pair.  All
+    2^w exponent vectors on the w <= 4 generators are tested at once; the
+    solutions come in increasing sum_i sigma_i 2^i, trivial first.
+    permute(sigma) gives the induced label permutation; it is not
     called for the trivial representation, which acts as the identity."""
+    w = np.shape(relations)[1]
+    sigmas = np.arange(2**w)[:, None] >> np.arange(w) & 1
     cs, den = cs_values
-    width = np.asarray(relations).shape[1]
     out = []
-    for v in mod2_span(mod2_kernel(relations), width=width):
-        sigma = tuple(int(x) for x in v)
+    for sigma in map(tuple, sigmas[~(sigmas @ np.transpose(relations) % 2).any(axis=1)].tolist()):
         perm = np.asarray(permute(sigma)) if any(sigma) else np.arange(len(cs))
         out.append(CentralRep(sigma, tuple(perm.tolist()), (cs[perm] - cs) % den, den))
     return out

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from math import gcd
 
@@ -67,8 +66,8 @@ class ModularData:
     def rank(self) -> int:
         return len(self.labels)
 
-    def validate(self, tol: float | None = None, require_dim_sum: bool = True) -> "ModularData":
-        tol = comparison_tolerance() if tol is None else tol
+    def validate(self, require_dim_sum: bool = True) -> "ModularData":
+        tol = comparison_tolerance()
         r = self.rank
         S = self.s_tilde
         if S.shape != (r, r) or len(self.dims) != r or len(self.twist_residues) != r:
@@ -106,6 +105,12 @@ class ModularityReport:
     s_det_modulus: float
 
 
+def _reduced(residues: np.ndarray, den: int) -> tuple[np.ndarray, int]:
+    """residues / den over the least common denominator of the reduced phases."""
+    g = math.gcd(den, *residues.tolist())
+    return residues // g, den // g
+
+
 @lru_cache(maxsize=None)
 def tlj_data(A_phase: RationalPhase) -> ModularData:
     """Kauffman-bracket premodular data at variable A = e^{2*pi*i*A_phase}.
@@ -114,24 +119,23 @@ def tlj_data(A_phase: RationalPhase) -> ModularData:
     labels 0..r-2, graded by parity.  Dimensions are signed: (-1)^j [j+1].
     Results are cached; treat them as read-only.
     """
-    t = A_phase.as_fraction()
-    four = RationalPhase.of(4 * t)
-    r = four.order()
+    a, b = A_phase.numerator, A_phase.denominator
+    r = b // gcd(4 * a, b)   # the order of A^4
     if r < 2:
         raise ValueError("A^4 = 1: no associated category")
     labels = tuple(str(j) for j in range(r - 1))
-    minus_A = (A_phase + Fraction(1, 2)).as_fraction()
-    twists = tuple(RationalPhase.of(j * (j + 2) * minus_A) for j in range(r - 1))
+    # theta_j = (-A)^{j(j+2)}, with -A at the phase (2a + b) / (2b)
+    j = np.arange(r - 1, dtype=np.int64)
+    twists = _reduced(j * (j + 2) % (2 * b) * ((2 * a + b) % (2 * b)) % (2 * b), 2 * b)
     # S[i, j] = (-1)^(i+j) [(i+1)(j+1)] with [n] = sin(2 pi n t) / sin(2 pi 2t), t = a/b:
     # sin(2 pi n t) is the sine of the residue 2an mod b, exactly reduced
-    a, b = A_phase.numerator, A_phase.denominator
     sines = np.array([phase_sin(RationalPhase.of(k, b)) for k in range(b)])
-    n = np.arange(1, r, dtype=np.int64)
-    sign = 1 - 2 * ((n[:, None] + n) % 2)
-    S = sign * sines[2 * a * np.outer(n, n) % b] / phase_sin(2 * t)
+    s2 = phase_sin(RationalPhase.of(2 * a, b))
+    sign = 1 - 2 * ((j[:, None] + j) % 2)
+    S = sign * sines[2 * a * np.outer(j + 1, j + 1) % b] / s2
     d = S[0].copy()
-    D2 = 2 * r / (2 * phase_sin(2 * t)) ** 2
-    grading = tuple(j % 2 for j in range(r - 1))
+    D2 = 2 * r / (2 * s2) ** 2
+    grading = tuple((j % 2).tolist())
     return ModularData(labels, d, twists, S, D2, grading).validate()
 
 
@@ -146,9 +150,10 @@ def su2_level(k: int) -> ModularData:
     S = np.array([[math.sin((i + 1) * (j + 1) * math.pi / r) / s1 for j in range(k + 1)]
                   for i in range(k + 1)])
     d = S[0].copy()
-    twists = tuple(RationalPhase.of(Fraction(j * (j + 2), 4 * r)) for j in range(k + 1))
+    j = np.arange(k + 1, dtype=np.int64)
+    twists = _reduced(j * (j + 2) % (4 * r), 4 * r)
     D2 = (r / 2) / s1**2
-    grading = tuple(j % 2 for j in range(k + 1))
+    grading = tuple((j % 2).tolist())
     return ModularData(labels, d, twists, S, D2, grading).validate()
 
 
@@ -196,14 +201,14 @@ def graded_product(X: ModularData, Y: ModularData) -> ModularData:
     return ModularData(labels, dims, (twists, L), S, D2, grading).validate()
 
 
-def find_transparent(D: ModularData, tol: float | None = None) -> ModularityReport:
+def find_transparent(D: ModularData) -> ModularityReport:
     """Labels whose S-row is proportional to the dimension row.
 
     The data are modular exactly when only the unit qualifies; the reported
     determinant modulus is |det(S/D_total)|, which is bounded away from zero
     for modular data and vanishes for degenerate data.
     """
-    tol = comparison_tolerance() if tol is None else tol
+    tol = comparison_tolerance()
     S = D.s_tilde
     scale = np.abs(S).max()
     coeff = S[:, 0] / D.dims[0]
@@ -218,11 +223,10 @@ def find_transparent(D: ModularData, tol: float | None = None) -> ModularityRepo
     return ModularityReport(transparent == [D.labels[0]], tuple(transparent), det_mod)
 
 
-def verlinde_fusion(D: ModularData, tol: float | None = None) -> np.ndarray:
+def verlinde_fusion(D: ModularData) -> np.ndarray:
     """Fusion multiplicities N_ij^k = sum_m S_im S_jm conj(S_km) / S_0m with
     S the normalized matrix; only defined for modular data."""
-    tol = comparison_tolerance() if tol is None else tol
-    if not find_transparent(D, tol).is_modular:
+    if not find_transparent(D).is_modular:
         raise ValueError("Verlinde fusion needs modular (non-degenerate) data")
     S = D.s_tilde / math.sqrt(D.total_dim_sq)
     N = (S[:, None, :] * S).reshape(-1, D.rank) @ (S.conj() / S[0, :]).T

@@ -191,7 +191,7 @@ class AdmissibilityReport:
     admissible: bool
 
 
-def admissibility_report(C: CandidateData, tol: float | None = None) -> AdmissibilityReport:
+def admissibility_report(C: CandidateData) -> AdmissibilityReport:
     """Evaluate both admissibility sums and the central-representation data.
 
     The target modulus is sqrt(|s(X)|) / (s_L sqrt(2 Tor(unit))) where s(X)
@@ -199,7 +199,7 @@ def admissibility_report(C: CandidateData, tol: float | None = None) -> Admissib
     exact Chern-Simons value, same torsion) and s_L is sqrt(2) when the
     relating subgroup contains a fermionic representation.
     """
-    tol = comparison_tolerance() if tol is None else tol
+    tol = comparison_tolerance()
     inv2tor = 1.0 / (2.0 * C.torsions)
     total = float(inv2tor.sum())
     # x / L is the double of the reduced phase too: division rounds correctly
@@ -244,12 +244,12 @@ class Certificate:
     total_dim_sq_delta: float
 
 
-def certify(C: CandidateData, D: ModularData, tol: float | None = None) -> Certificate:
+def certify(C: CandidateData, D: ModularData) -> Certificate:
     """Entrywise equality certificate between candidate and catalog data:
     passes when the S-matrices and dimension rows agree within tol and the
     twists agree exactly.  The total-dimension discrepancy is reported but
     not gated (it can differ for inadmissible label sets)."""
-    tol = comparison_tolerance() if tol is None else tol
+    tol = comparison_tolerance()
     if C.rank != D.rank:
         raise ValueError(f"rank mismatch: candidate {C.rank}, reference {D.rank}")
     ds = float(np.abs(C.data.s_tilde - D.s_tilde).max())

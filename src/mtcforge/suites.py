@@ -41,6 +41,12 @@ from .torsion_engine import chain_torsion
 from .torus_bundle import build_adjoint_complex, enumerate_torus_characters, make_torus_bundle
 
 
+MONODROMY_BOUND = 20
+SU2_MAX_R = 12
+ORACLE_MIN_PAIRS = 20
+VERLINDE_RANK_CAP = 24
+
+
 @dataclass
 class SuiteResult:
     name: str
@@ -106,23 +112,23 @@ def sfs_records(triples) -> tuple[SweepRecord, ...]:
     return tuple(out)
 
 
-def supported_monodromies(max_N: int = 13, bound: int = 20) -> list[tuple[int, int, int, int]]:
+def supported_monodromies(max_N: int = 13) -> list[tuple[int, int, int, int]]:
     """All (a,b,c,d) with det 1, N = a+d+2 odd in (4, max_N], gcd(c,N) = 1,
-    and |entries| <= bound, sorted."""
+    and |entries| <= MONODROMY_BOUND, sorted."""
     out = []
     for N in range(5, max_N + 1, 2):
-        for a in range(-bound, bound + 1):
+        for a in range(-MONODROMY_BOUND, MONODROMY_BOUND + 1):
             d = N - 2 - a
-            if abs(d) > bound:
+            if abs(d) > MONODROMY_BOUND:
                 continue
             bc = a * d - 1
             if bc == 0:
                 continue
-            for b in range(-bound, bound + 1):
+            for b in range(-MONODROMY_BOUND, MONODROMY_BOUND + 1):
                 if b == 0 or bc % b:
                     continue
                 c = bc // b
-                if abs(c) <= bound and gcd(c, N) == 1:
+                if abs(c) <= MONODROMY_BOUND and gcd(c, N) == 1:
                     out.append((a, b, c, d))
     return sorted(out)
 
@@ -238,13 +244,13 @@ def suite_modularity_dichotomy(max_p: int = 9, *, records=None) -> SuiteResult:
                        not failures, len(records), failures[:20], details)
 
 
-def suite_su2_realizations(max_r: int = 12) -> SuiteResult:
-    """(3,1),(3,1),(r,1): canonical unit matches the Kauffman data at
+def suite_su2_realizations() -> SuiteResult:
+    """(3,1),(3,1),(r,1) for r <= SU2_MAX_R: canonical unit matches the Kauffman data at
     e^{2 pi i/4r} (graded order), reseated unit matches level r-2, with the
     torsion-dimension identity per label."""
     failures = []
     cases = 0
-    for r in range(2, max_r + 1):
+    for r in range(2, SU2_MAX_R + 1):
         M = make_sfs([(3, 1), (3, 1), (r, 1)])
         cases += 1
         C = sfs_candidate(M, unit="canonical")
@@ -265,11 +271,11 @@ def suite_su2_realizations(max_r: int = 12) -> SuiteResult:
                        not failures, cases, failures)
 
 
-def suite_torus_son2(max_N: int = 13, bound: int = 20, *, torus=None) -> SuiteResult:
+def suite_torus_son2(max_N: int = 13, *, torus=None) -> SuiteResult:
     """Every supported monodromy certifies against the orthogonal level-two
     adjoint data at m = -2c~-N, with exactly one non-unit transparent label."""
     failures = []
-    torus = torus_records(supported_monodromies(max_N, bound)) if torus is None else torus
+    torus = torus_records(supported_monodromies(max_N)) if torus is None else torus
     for mono, cert, rep, _ in torus:
         if not cert.passed:
             failures.append(f"{mono}: dS={cert.max_s_delta:.2e}")
@@ -279,14 +285,14 @@ def suite_torus_son2(max_N: int = 13, bound: int = 20, *, torus=None) -> SuiteRe
                        not failures, len(torus), failures[:20])
 
 
-def suite_torsion_oracle(max_N: int = 13, min_pairs: int = 20) -> SuiteResult:
+def suite_torsion_oracle(max_N: int = 13) -> SuiteResult:
     """Chain-complex torsion of the explicit cell structure equals the
     closed forms N/4 (irreducible) and N (reducible)."""
     failures = []
     times = []
     pairs = 0
     picked = []
-    monos = supported_monodromies(max_N, 20)
+    monos = supported_monodromies(max_N)
     for N in range(5, max_N + 1, 2):
         for mono in [m for m in monos if m[0] + m[3] + 2 == N][:2]:
             picked.append(mono)
@@ -308,8 +314,8 @@ def suite_torsion_oracle(max_N: int = 13, min_pairs: int = 20) -> SuiteResult:
                 failures.append(f"{(a, b, c, d)} {chi.label()}: not acyclic")
             elif abs(res.value - expected) > 1e-6 * expected:
                 failures.append(f"{(a, b, c, d)} {chi.label()}: {res.value} != {expected}")
-    if pairs < min_pairs:
-        failures.append(f"only {pairs} oracle pairs, need {min_pairs}")
+    if pairs < ORACLE_MIN_PAIRS:
+        failures.append(f"only {pairs} oracle pairs, need {ORACLE_MIN_PAIRS}")
     slow = max(times) if times else 0.0
     if slow > 0.01:
         failures.append(f"slowest evaluation {slow * 1e3:.2f} ms > 10 ms")
@@ -341,7 +347,7 @@ def suite_admissibility(max_p: int = 9, max_N: int = 13, *, records=None, torus=
         if r.z2_sphere:
             if abs(r.gauss_modulus - r.target_modulus) > 1e-9 or not r.admissible:
                 failures.append(f"{r.pairs}: gauss {r.gauss_modulus} target {r.target_modulus}")
-    torus = torus_records(supported_monodromies(max_N, 20)) if torus is None else torus
+    torus = torus_records(supported_monodromies(max_N)) if torus is None else torus
     for (a, b, c, d), _, _, adm in torus:
         if abs(adm.sum_inverse_2tor - 1.0) > 1e-9:
             failures.append(f"{(a, b, c, d)}: sum {adm.sum_inverse_2tor}")
@@ -399,10 +405,10 @@ def suite_su2_parity(max_level: int = 6) -> SuiteResult:
                        not failures, cases, failures)
 
 
-def _modular_outputs(max_p: int = 9, rank_cap: int = 24):
+def _modular_outputs(max_p: int = 9):
     """Modular data sets named by the realization and product criteria."""
     outs: list[tuple[str, ModularData]] = []
-    for r in range(2, 13):
+    for r in range(2, SU2_MAX_R + 1):
         M = make_sfs([(3, 1), (3, 1), (r, 1)])
         outs.append((f"M({r}) canonical", sfs_candidate(M).data))
         outs.append((f"M({r}) reseated", sfs_candidate(M, unit="reseated").data))
@@ -415,17 +421,17 @@ def _modular_outputs(max_p: int = 9, rank_cap: int = 24):
     # asserts (a sphere has at most one p = 2 fiber, where the dichotomy holds)
     for pairs in sfs_sweep_instances(max_p):
         M = make_sfs(pairs)
-        if z2_homology_sphere(M) and character_count(M) <= rank_cap \
+        if z2_homology_sphere(M) and character_count(M) <= VERLINDE_RANK_CAP \
                 and pairs != ((3, 2), (5, 1), (5, 4)):
             outs.append((str(pairs), sfs_candidate(M).data))
     return outs
 
 
-def suite_verlinde(max_p: int = 9, rank_cap: int = 24) -> SuiteResult:
+def suite_verlinde(max_p: int = 9) -> SuiteResult:
     """Verlinde fusion of every named modular output: coefficients are
     nonnegative integers and fusion is associative."""
     failures = []
-    outs = _modular_outputs(max_p, rank_cap)
+    outs = _modular_outputs(max_p)
     for name, D in outs:
         try:
             N = verlinde_fusion(D)
@@ -504,7 +510,7 @@ def run_suites(names=None, *, jobs: int = 1, max_p: int = 9, max_N: int = 13, ma
 
     free = [n for n in names if not {"records", "torus"} & params[n].keys()]
     sfs = sfs_sweep_instances(max_p) if any("records" in params[n] for n in names) else []
-    torus = supported_monodromies(max_N, 20) if any("torus" in params[n] for n in names) else []
+    torus = supported_monodromies(max_N) if any("torus" in params[n] for n in names) else []
     jobs = min(jobs, os.cpu_count() or 1)
     sfs, torus = _chunks(sfs, 4 * jobs), _chunks(torus, 4 * jobs)
     workers = min(jobs, len(free) + len(sfs) + len(torus))

@@ -7,7 +7,7 @@ knows nothing about manifolds, only determinants of base-change matrices.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,12 +20,11 @@ class BasedChainComplex:
 
     boundaries[i] is the matrix of the map out of C_{n-i} written in the
     distinguished bases, so boundaries = (d_n, ..., d_1).  Consecutive maps
-    must compose to zero within `tol` entrywise.
+    must compose to zero within DEFAULT_TOL entrywise.
     """
 
     dims: tuple[int, ...]
     boundaries: tuple[np.ndarray, ...]
-    tol: float = field(default=DEFAULT_TOL, compare=False)
 
     def __post_init__(self):
         dims = tuple(int(d) for d in self.dims)
@@ -42,7 +41,7 @@ class BasedChainComplex:
         scale = max([1.0] + [np.abs(b).max() for b in bnds if b.size])
         for i in range(len(bnds) - 1):
             comp = bnds[i + 1] @ bnds[i]
-            if comp.size and np.abs(comp).max() > self.tol * scale * scale:
+            if comp.size and np.abs(comp).max() > DEFAULT_TOL * scale * scale:
                 raise ValueError(f"d.d != 0 between degrees {len(dims) - 1 - i} and {len(dims) - 2 - i}")
 
     @property
@@ -64,7 +63,7 @@ class TorsionResult:
     per_degree_ranks: tuple[int, ...]  # rank of d_i for i = 1..n
 
 
-def _pivot_columns(M: np.ndarray, tol: float) -> list[int]:
+def _pivot_columns(M: np.ndarray) -> list[int]:
     """Column indices of a maximal independent set, by pivoted QR."""
     if M.size == 0:
         return []
@@ -75,12 +74,11 @@ def _pivot_columns(M: np.ndarray, tol: float) -> list[int]:
     import scipy.linalg as sla  # the only scipy use: importing mtcforge does not load it
     _, R, perm = sla.qr(M, mode="economic", pivoting=True)
     diag = np.abs(np.diag(R))
-    rank = int((diag > tol * top).sum())
+    rank = int((diag > DEFAULT_TOL * top).sum())
     return [int(c) for c in perm[:rank]]
 
 
-def chain_torsion(C: BasedChainComplex, tol: float | None = None,
-                  pivots: dict[int, list[int]] | None = None) -> TorsionResult:
+def chain_torsion(C: BasedChainComplex, pivots: dict[int, list[int]] | None = None) -> TorsionResult:
     """|prod_i det(D_i)^((-1)^(i+1))| for an acyclic based complex.
 
     D_i expresses the basis (d_{i+1} b_{i+1}) u b_i in the distinguished
@@ -88,12 +86,11 @@ def chain_torsion(C: BasedChainComplex, tol: float | None = None,
     basis of im(d_i).  The result does not depend on the pivot choice; pass
     `pivots` (degree -> column list) to force one, e.g. in tests.
     """
-    tol = C.tol if tol is None else tol
     n = C.top_degree
     piv: dict[int, list[int]] = {n + 1: []}
     for deg in range(n, 0, -1):
         piv[deg] = pivots[deg] if pivots is not None and deg in pivots else \
-            _pivot_columns(C.boundary(deg), tol)
+            _pivot_columns(C.boundary(deg))
     ranks = tuple(len(piv[deg]) for deg in range(1, n + 1))
     acyclic = all(
         len(piv.get(deg + 1, [])) + (len(piv[deg]) if deg >= 1 else 0) == C.dim(deg)

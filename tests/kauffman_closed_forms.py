@@ -1,8 +1,10 @@
 """Closed forms of Kauffman-bracket quantities that the tests compare
 against: quantum integers, the per-fiber quantum dimensions of a Seifert
-character and the total dimension of the Kauffman data at A."""
+character, the total dimension of the Kauffman data at A and the twists of
+the Kauffman and quantum SU(2) data, one exact phase at a time."""
 
 import math
+from fractions import Fraction
 
 from mtcforge.algebra import RationalPhase, phase_sin
 
@@ -34,3 +36,16 @@ def total_dim(A_phase: RationalPhase) -> float:
     t = A_phase.as_fraction()
     r = RationalPhase.of(4 * t).order()
     return math.sqrt(2 * r) / abs(2 * phase_sin(2 * t))
+
+
+def tlj_twists(A_phase: RationalPhase) -> tuple[RationalPhase, ...]:
+    """theta_j = (-A)^{j(j+2)} for j = 0..r-2, r the order of A^4."""
+    t = A_phase.as_fraction()
+    r = RationalPhase.of(4 * t).order()
+    minus_A = (A_phase + Fraction(1, 2)).as_fraction()
+    return tuple(RationalPhase.of(j * (j + 2) * minus_A) for j in range(r - 1))
+
+
+def su2_twists(k: int) -> tuple[RationalPhase, ...]:
+    """theta_j = e^{2 pi i j(j+2) / 4(k+2)} for j = 0..k."""
+    return tuple(RationalPhase.of(Fraction(j * (j + 2), 4 * (k + 2))) for j in range(k + 1))

@@ -48,7 +48,7 @@ class TestAcceptance:
         assert elapsed < 30.0
 
     def test_criterion_03_su2_realizations(self):
-        report(3, suites.suite_su2_realizations(max_r=12))
+        report(3, suites.suite_su2_realizations())
 
     def test_criterion_04_modularity_dichotomy(self):
         res = suites.suite_modularity_dichotomy(max_p=9)
@@ -56,10 +56,10 @@ class TestAcceptance:
                        f"{res.details['empty_odd_sector_instances']} empty-odd-sector instances")
 
     def test_criterion_05_torus_vs_catalog(self):
-        report(5, suites.suite_torus_son2(max_N=13, bound=20))
+        report(5, suites.suite_torus_son2(max_N=13))
 
     def test_criterion_06_torsion_oracle(self):
-        res = suites.suite_torsion_oracle(max_N=13, min_pairs=20)
+        res = suites.suite_torsion_oracle(max_N=13)
         report(6, res, f"slowest {res.details['max_ms']:.2f} ms")
         assert res.cases >= 20
         assert res.details["max_ms"] < 10.0

@@ -11,8 +11,8 @@ from hypothesis import strategies as st
 from loop_operator_oracle import chebyshev
 from mtcforge.algebra import (
     RationalPhase,
+    central_reps_mod2,
     chebyshev_table,
-    mod2_kernel,
     parity_exp_sum,
     parity_exp_sum_table,
 )
@@ -130,19 +130,23 @@ class TestRationalPhase:
         assert RationalPhase.of(0, 5).order() == 1
 
 
+def kernel(M) -> list[tuple[int, ...]]:
+    """The sigmas of central_reps_mod2 on a single label, in its order."""
+    reps = central_reps_mod2(M, (np.zeros(1, dtype=np.int64), 1), lambda sigma: [0])
+    return [r.sigma for r in reps]
+
+
 class TestMod2:
     def test_identity_full_rank(self):
-        assert mod2_kernel(np.eye(3, dtype=int)) == []
+        assert kernel(np.eye(3, dtype=int)) == [(0, 0, 0)]
 
     def test_torus_bundle_relation_matrix(self):
         # rows (a+1, c, 0), (b, d+1, 0) mod 2 for (2,1,1,1)
         M = np.array([[3, 1, 0], [1, 2, 0]]) % 2
-        basis = mod2_kernel(M)
-        assert len(basis) == 1
-        assert basis[0].tolist() == [0, 0, 1]
+        assert kernel(M) == [(0, 0, 0), (0, 0, 1)]
 
     def test_zero_matrix(self):
-        assert len(mod2_kernel(np.zeros((2, 2), dtype=int))) == 2
+        assert kernel(np.zeros((2, 2), dtype=int)) == [(0, 0), (1, 0), (0, 1), (1, 1)]
 
     def test_rank_nullity_against_enumeration(self):
         # oracle: count solutions by brute force over F_2^n
@@ -150,14 +154,15 @@ class TestMod2:
         for _ in range(40):
             rows, cols = rng.integers(1, 6, size=2)
             M = rng.integers(0, 2, size=(rows, cols))
-            basis = mod2_kernel(M)
+            sigmas = kernel(M)
             images = [tuple(M @ np.array([(mask >> i) & 1 for i in range(cols)]) % 2)
                       for mask in range(2**cols)]
-            assert 2 ** len(basis) == images.count((0,) * rows)
-            # rank-nullity: the image has 2^rank elements
-            assert 2 ** (cols - len(basis)) == len(set(images))
-            for v in basis:
-                assert not ((M @ v) % 2).any()
+            assert len(sigmas) == images.count((0,) * rows)
+            # rank-nullity: |kernel| * |image| = 2^cols
+            assert len(sigmas) * len(set(images)) == 2**cols
+            assert len(set(sigmas)) == len(sigmas) and sigmas[0] == (0,) * cols
+            for v in sigmas:
+                assert not ((M @ np.array(v)) % 2).any()
 
 
 class TestParityExpSum:

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kauffman_closed_forms import quantum_integer, total_dim
+from kauffman_closed_forms import quantum_integer, su2_twists, tlj_twists, total_dim
 from mtcforge.algebra import RationalPhase
 from mtcforge.catalog import (
     ModularData,
@@ -118,6 +118,25 @@ class TestKauffmanData:
             assert D.s_tilde.tobytes() == S.tobytes(), A
             assert D.dims.tobytes() == S[0].tobytes(), A
 
+    def test_twists_match_exact_phase_oracle(self):
+        # the residue-built twists against one reduced phase per label: same
+        # residues over the same least common denominator
+        checked = 0
+        for b in range(1, 120):
+            for a in range(b):
+                A = RationalPhase.of(a, b)
+                if A.denominator != b or (4 * A).order() < 2:
+                    continue
+                D = tlj_data(A)
+                res, den = RationalPhase.residues(tlj_twists(A))
+                assert D.twist_den == den and D.twist_residues.tolist() == res.tolist(), A
+                checked += 1
+        assert checked > 4000
+        for k in range(41):
+            res, den = RationalPhase.residues(su2_twists(k))
+            D = su2_level(k)
+            assert D.twist_den == den and D.twist_residues.tolist() == res.tolist(), k
+
 
 class TestFindTransparent:
     @staticmethod
@@ -136,7 +155,7 @@ class TestFindTransparent:
         data += [soN2_adjoint(N, m) for N, m in [(5, -7), (7, -17), (13, 3)]]
         seen = set()
         for D in data:
-            rep = find_transparent(D, 1e-9)
+            rep = find_transparent(D)
             assert rep.transparent_labels == self.transparent_row_by_row(D), D.labels
             seen.add(rep.is_modular)
         assert seen == {True, False}

@@ -412,7 +412,7 @@ class TestVerifyCommand:
                               "--suite", "verlinde", "--max-p", "4", "--max-N", "9", "--jobs", "3"])
         assert code == 0
         records = suites.sfs_sweep_records(4)
-        torus = suites.torus_records(suites.supported_monodromies(9, 20))
+        torus = suites.torus_records(suites.supported_monodromies(9))
         assert seen == {"sfs-tlj": (records, None), "torus-son2": (None, torus),
                         "verlinde": (None, None)}
 

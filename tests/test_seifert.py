@@ -354,6 +354,12 @@ class TestCentralReps:
         reps = central_reps(make_sfs([(3, 1), (3, 1), (3, 2)]))
         assert len(reps) >= 2
 
+    def test_two_dimensional_kernel(self):
+        # three even fibers with odd q: the relations mod 2 leave s(h) = 0 and
+        # s(x1) + s(x2) + s(x3) = 0, a plane, listed by increasing sum_i sigma_i 2^i
+        reps = central_reps(make_sfs([(2, 1), (4, 1), (6, 1)]))
+        assert [r.sigma for r in reps] == [(0, 0, 0, 0), (1, 1, 0, 0), (1, 0, 1, 0), (0, 1, 1, 0)]
+
     def test_twist_leaving_label_set_raises(self):
         M = make_sfs([(3, 1), (3, 1), (3, 2)])
         chars = enumerate_characters(M)

@@ -23,7 +23,7 @@ def test_sfs_chunks_concatenate_to_the_sweep(n):
 
 @pytest.mark.parametrize("n", [1, 2, 5, 64])
 def test_torus_chunks_concatenate_to_the_pass(n):
-    monos = suites.supported_monodromies(9, 20)
+    monos = suites.supported_monodromies(9)
     whole = suites.torus_records(monos)
     assert [r[0] for r in whole] == monos
     assert tuple(r for c in suites._chunks(monos, n) for r in suites.torus_records(c)) == whole
@@ -39,7 +39,7 @@ def test_torus_candidates_built_once_per_run(monkeypatch):
 
     monkeypatch.setattr(suites, "torus_candidate", counting)
     res = suites.run_suites(["torus-son2", "admissibility"], max_p=3, max_N=9)
-    monos = suites.supported_monodromies(9, 20)
+    monos = suites.supported_monodromies(9)
     assert all(r.passed for r in res)
     assert sorted(built) == monos
     # a suite called on its own still builds its own pass
@@ -72,7 +72,7 @@ def test_suites_flag_doctored_passes():
     records[1] = replace(records[1], certified=False, max_s_delta=0.5)
     res = suites.suite_sfs_tlj(records=tuple(records))
     assert not res.passed and res.failures == [f"{records[1].pairs}: max |dS| = 5.00e-01"]
-    torus = list(suites.torus_records(suites.supported_monodromies(9, 20)))
+    torus = list(suites.torus_records(suites.supported_monodromies(9)))
     mono, cert, rep, adm = torus[3]
     torus[3] = (mono, cert, replace(rep, transparent_labels=("rho+",)),
                 replace(adm, gauss_sum_modulus=0.0))

@@ -3,7 +3,6 @@ import math
 import numpy as np
 import pytest
 
-from mtcforge.algebra import mod2_kernel
 from mtcforge.torsion_engine import BasedChainComplex, chain_torsion
 from mtcforge.torus_bundle import (
     _adjoint_evaluator,
@@ -13,7 +12,6 @@ from mtcforge.torus_bundle import (
     connecting_word,
     enumerate_torus_characters,
     make_torus_bundle,
-    relation_matrix_mod2,
     reducible_uv,
     torus_torsion,
 )
@@ -204,7 +202,7 @@ class TestAdjointComplex:
 class TestCentralStructure:
     def test_h1_dimension_one(self):
         for T in supported_examples():
-            assert len(mod2_kernel(relation_matrix_mod2(T))) == 1
+            assert len(central_reps(T)) == 2
 
     def test_sign_rep_swaps_reducibles(self):
         T = make_torus_bundle(2, 1, 1, 1)
