@@ -19,6 +19,12 @@ from math import gcd
 import numpy as np
 
 DEFAULT_TOL = 1e-9
+# Rows per band of the rank^2 S builders and checks, which make no temporary
+# larger than one band: a band of a rank-1440 float64 matrix is 1.5 MB and
+# stays in a 2 MB L2 cache.  A matrix of at most BAND_ROWS rows is built and
+# checked in one piece: the band loop's fixed cost, a few microseconds a call,
+# made the small-rank Seifert sweep about 5 % slower.  A constant, not a setting.
+BAND_ROWS = 128
 
 
 def comparison_tolerance() -> float:
@@ -218,6 +224,17 @@ def parity_exp_sum(p: int, j: int, l: int, r: int, parity: int) -> complex:
     if parity == 0:
         return 0.0 if j + l == p else float(-p)
     return float(-2 * p) if j + l == p else float(-p)
+
+
+def parity_exp_sum_closed(p: int, parity: int) -> np.ndarray:
+    """`parity_exp_sum(p, j, l, r, parity)` for all j, l in [0, p] as one
+    array, by the same case analysis; it holds for every odd unit r.  Off the
+    diagonal the sum is (-1)^parity p at j + l = p and 0 elsewhere, whatever
+    the parity of p; the diagonal adds -p."""
+    j, l = np.ogrid[:p + 1, :p + 1]
+    T = np.where(j + l == p, float((-1) ** parity * p), 0.0) - p * (j == l)
+    # at j or l in {0, p} the four exponentials cancel in pairs
+    return np.where((j % p == 0) | (l % p == 0), 0.0, T)
 
 
 def parity_exp_sum_table(p: int, r: int, parity: int) -> np.ndarray:

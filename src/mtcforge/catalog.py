@@ -15,7 +15,7 @@ from math import gcd
 
 import numpy as np
 
-from .algebra import RationalPhase, comparison_tolerance, phase_sin
+from .algebra import BAND_ROWS, RationalPhase, comparison_tolerance, phase_sin
 
 
 @dataclass(frozen=True, eq=False)
@@ -67,16 +67,29 @@ class ModularData:
         return len(self.labels)
 
     def validate(self, require_dim_sum: bool = True) -> "ModularData":
+        """Check shapes, finiteness, symmetry, the unit row and twist; return
+        self.  Above BAND_ROWS labels the scale pass reads S in bands of
+        BAND_ROWS rows, and the symmetry residual S[i, j] - S[j, i] is taken
+        over BAND_ROWS x BAND_ROWS tiles on and above the diagonal, each
+        against its mirror tile, so no temporary is larger than one band."""
         tol = comparison_tolerance()
         r = self.rank
         S = self.s_tilde
         if S.shape != (r, r) or len(self.dims) != r or len(self.twist_residues) != r:
             raise ValueError("inconsistent rank")
-        # NaN and +-inf propagate through both maxima: one pass checks finiteness
-        scale = np.maximum(1.0, np.abs(S).max())
+        # np.maximum, unlike Python's max, carries NaN and +-inf from any band
+        # into the scale: it is finite exactly when every entry is
+        scale = 1.0
+        for i in range(0, r, BAND_ROWS):
+            scale = np.maximum(scale, np.abs(S[i:i + BAND_ROWS]).max())
         if not np.isfinite(scale):
             raise ValueError("non-finite S entries")
-        if np.abs(S - S.T).max() > tol * scale:
+        # every entry is finite here, so Python's max over the tiles drops nothing
+        B = BAND_ROWS
+        asym = np.abs(S - S.T).max() if r <= B else max(
+            np.abs(S[i:i + B, j:j + B] - S[j:j + B, i:i + B].T).max()
+            for i in range(0, r, B) for j in range(i, r, B))
+        if asym > tol * scale:
             raise ValueError("S-matrix not symmetric")
         if abs(S[0, 0] - 1.0) > tol:
             raise ValueError("S[0,0] must be 1 (unit-normalized)")
@@ -173,7 +186,10 @@ def soN2_adjoint(N: int, m: int) -> ModularData:
     four_cos = np.array([4 * math.cos(2 * math.pi * n / N) for n in range(N)])
     S = np.full((r + 2, r + 2), 2.0)
     S[:2, :2] = 1.0
-    S[2:, 2:] = four_cos[m * (np.outer(ks, ks) % N) % N]
+    # in bands, so that the int64 index table is never larger than one band
+    for start in range(0, r, BAND_ROWS):
+        kb = ks[start:start + BAND_ROWS]
+        S[2 + start:2 + start + BAND_ROWS, 2:] = four_cos[m * (np.outer(kb, ks) % N) % N]
     return ModularData(labels, d, twists, S, 2.0 * N).validate()
 
 
@@ -194,7 +210,15 @@ def graded_product(X: ModularData, Y: ModularData) -> ModularData:
     L = math.lcm(X.twist_den, Y.twist_den)
     twists = (X.twist_residues[ii] * (L // X.twist_den)
               + Y.twist_residues[jj] * (L // Y.twist_den)) % L
-    S = X.s_tilde.take(ii, 0).take(ii, 1) * Y.s_tilde.take(jj, 0).take(jj, 1)
+    # S[a, b] = X[ii[a], ii[b]] * Y[jj[a], jj[b]], written in bands of rows
+    Xc, Yc = X.s_tilde.take(ii, 1), Y.s_tilde.take(jj, 1)
+    if len(ii) <= BAND_ROWS:
+        S = Xc.take(ii, 0) * Yc.take(jj, 0)
+    else:
+        S = np.empty((len(ii), len(ii)), dtype=np.result_type(Xc, Yc))
+        for start in range(0, len(ii), BAND_ROWS):
+            rows = slice(start, start + BAND_ROWS)
+            np.multiply(Xc.take(ii[rows], 0), Yc.take(jj[rows], 0), out=S[rows])
     sector = lambda D, gd, g: float(np.sum(D.dims[gd == g] ** 2))
     D2 = sector(X, gx, 0) * sector(Y, gy, 0) + sector(X, gx, 1) * sector(Y, gy, 1)
     grading = tuple(gx[ii].tolist())
@@ -210,9 +234,16 @@ def find_transparent(D: ModularData) -> ModularityReport:
     """
     tol = comparison_tolerance()
     S = D.s_tilde
-    scale = np.abs(S).max()
     coeff = S[:, 0] / D.dims[0]
-    rows = np.abs(S - coeff[:, None] * D.dims).max(axis=1) <= tol * max(scale, 1.0)
+    if D.rank <= BAND_ROWS:
+        dev, scale = np.abs(S - coeff[:, None] * D.dims).max(axis=1), np.abs(S).max()
+    else:   # band by band; np.maximum carries NaN into the scale
+        dev, scale = np.empty(D.rank), 0.0
+        for start in range(0, D.rank, BAND_ROWS):
+            rows = slice(start, start + BAND_ROWS)
+            scale = np.maximum(scale, np.abs(S[rows]).max())
+            dev[rows] = np.abs(S[rows] - coeff[rows, None] * D.dims).max(axis=1)
+    rows = dev <= tol * max(scale, 1.0)
     transparent = [D.labels[i] for i in np.flatnonzero(rows)]
     # complex, as the golden outputs were written: a real LU rounds differently
     sign, logabs = np.linalg.slogdet(S.astype(complex))

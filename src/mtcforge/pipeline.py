@@ -13,6 +13,12 @@ weight of label alpha's operators on factor f at character beta,
 over the three fibers of a Seifert space (each weight table at fiber size,
 gathered onto the labels) or over a single factor for a torus bundle and
 for the reseated unit.
+
+Above `algebra.BAND_ROWS` labels, every rank^2 pass here (the S build, the
+torus weight table and the `certify` comparison) works in row bands of
+BAND_ROWS rows written into or read from the final arrays, so that no
+temporary is larger than one band and a rank-1440 candidate holds one
+S-matrix, not several.  Smaller matrices are handled in one piece.
 """
 
 from __future__ import annotations
@@ -20,12 +26,13 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 
 import numpy as np
 
 from . import seifert, torus_bundle
 from .algebra import (
+    BAND_ROWS,
     RationalPhase,
     chebyshev_table,
     comparison_tolerance,
@@ -72,15 +79,30 @@ def _s_matrix(factors) -> np.ndarray:
 
     factors holds one (W_f, J_f) pair per factor: the weight table
     W_f[beta, alpha] at the factor's own size, and the map J_f from candidate
-    labels to factor labels (None for the identity).  Gathering after the
-    per-factor product keeps the work at rank^2 per factor.
+    labels to factor labels (None for the identity, only for a single
+    factor).  A fiber's product W_f^T * W_f[0, :] is formed at fiber size and
+    gathered onto the labels band by band: above BAND_ROWS labels S is
+    written in bands of BAND_ROWS rows, so no temporary is larger than one
+    band, and each entry is the same product in the same factor order as
+    the one-shot gather used below that size.
     """
-    S = None
-    for W, J in factors:
-        Sf = W.T * W[0, :]
-        if J is not None:
-            Sf = Sf.take(J, 0).take(J, 1)
-        S = Sf if S is None else S * Sf
+    tables = [(W, J) if J is None else (W.T * W[0, :], J) for W, J in factors]
+    T0, J0 = tables[0]
+    rank = len(T0) if J0 is None else len(J0)
+    if rank <= BAND_ROWS:
+        return reduce(np.multiply, [T.T * T[0, :] if J is None else T.take(J, 0).take(J, 1)
+                                    for T, J in tables])
+    S = np.empty((rank, rank), dtype=np.result_type(*(T for T, _ in tables)))
+    for start in range(0, rank, BAND_ROWS):
+        rows = slice(start, start + BAND_ROWS)
+        band = S[rows]
+        for k, (T, J) in enumerate(tables):
+            if J is None:
+                np.multiply(T[:, rows].T, T[0, :], out=band)
+            elif k == 0:
+                band[...] = T.take(J[rows], 0).take(J, 1)
+            else:
+                band *= T.take(J[rows], 0).take(J, 1)
     return S
 
 
@@ -170,9 +192,13 @@ def torus_candidate(T: TorusMonodromy) -> CandidateData:
     # where x is unipotent, and 2cos(2 pi m k_alpha k_beta / N) at rho_{k_beta}
     trace = np.array([phase_cos(RationalPhase.of(n, T.N)) for n in range(T.N)])
     k = np.arange(1, T.r + 1, dtype=np.int64)
-    W = np.ones((len(labels), len(labels)))
+    W = np.empty((len(labels), len(labels)))
+    W[:, :2] = 1.0
     W[:2, 2:] = 2.0
-    W[2:, 2:] = trace[T.m * (np.outer(k, k) % T.N) % T.N]
+    # in bands, so that the int64 index table is never larger than one band
+    for start in range(0, T.r, BAND_ROWS):
+        kb = k[start:start + BAND_ROWS]
+        W[2 + start:2 + start + BAND_ROWS, 2:] = trace[T.m * (np.outer(kb, k) % T.N) % T.N]
     S = _s_matrix([(W, None)])
     actions = tuple(torus_bundle.central_reps(T))
     return _assemble(T.tag(), T, None, labels, torus_bundle._cs_residues(T), tors, S, None,
@@ -252,12 +278,21 @@ def certify(C: CandidateData, D: ModularData) -> Certificate:
     tol = comparison_tolerance()
     if C.rank != D.rank:
         raise ValueError(f"rank mismatch: candidate {C.rank}, reference {D.rank}")
-    ds = float(np.abs(C.data.s_tilde - D.s_tilde).max())
+    S, R = C.data.s_tilde, D.s_tilde
+    if C.rank <= BAND_ROWS:
+        ds, scale = np.abs(S - R).max(), np.abs(R).max()
+    else:   # band by band; np.maximum, unlike Python's max, carries NaN through
+        ds = scale = 0.0
+        for start in range(0, C.rank, BAND_ROWS):
+            rows = slice(start, start + BAND_ROWS)
+            ds = np.maximum(ds, np.abs(S[rows] - R[rows]).max())
+            scale = np.maximum(scale, np.abs(R[rows]).max())
+    ds = float(ds)
     # a / d == b / e exactly when a e == b d; both products stay below d e < 2^62
     tw = not (C.data.twist_residues * D.twist_den - D.twist_residues * C.data.twist_den).any()
     dd = float(np.abs(C.data.dims - D.dims).max())
     dD2 = float(abs(C.data.total_dim_sq - D.total_dim_sq))
-    passed = bool(ds < tol * max(1.0, float(np.abs(D.s_tilde).max())) and tw
+    passed = bool(ds < tol * max(1.0, float(scale)) and tw
                   and dd < tol * max(1.0, float(np.abs(D.dims).max())))
     return Certificate(passed, C.rank, ds, tw, dd, dD2)
 

@@ -14,6 +14,7 @@ from mtcforge.algebra import (
     central_reps_mod2,
     chebyshev_table,
     parity_exp_sum,
+    parity_exp_sum_closed,
     parity_exp_sum_table,
 )
 
@@ -194,6 +195,17 @@ class TestParityExpSum:
                         for l in range(p + 1):
                             closed = parity_exp_sum(p, j, l, r, parity)
                             assert abs(closed - table[j, l]) < 1e-8, (p, j, l, r, parity)
+
+    def test_array_form_equals_scalar(self):
+        # every p <= 50, every odd unit r, both parities
+        for p in range(2, 51):
+            for parity in (0, 1):
+                closed = parity_exp_sum_closed(p, parity)
+                for r in range(1, 2 * p, 2):
+                    if gcd(r, p) == 1:
+                        scalar = [[parity_exp_sum(p, j, l, r, parity) for l in range(p + 1)]
+                                  for j in range(p + 1)]
+                        assert closed.tobytes() == np.array(scalar).tobytes(), (p, r, parity)
 
     def test_even_r_requires_literal(self):
         with pytest.raises(ValueError):

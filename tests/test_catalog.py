@@ -7,8 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import one_shot_oracle
 from kauffman_closed_forms import quantum_integer, su2_twists, tlj_twists, total_dim
-from mtcforge.algebra import RationalPhase
+from mtcforge.algebra import BAND_ROWS, RationalPhase
 from mtcforge.catalog import (
     ModularData,
     find_transparent,
@@ -152,7 +153,9 @@ class TestFindTransparent:
                   if math.gcd(k, p) == 1]
         data = [graded_product(tlj_data(a), tlj_data(b))
                 for a, b in zip(phases, phases[3:] + phases[:3])]
-        data += [soN2_adjoint(N, m) for N, m in [(5, -7), (7, -17), (13, 3)]]
+        data += [soN2_adjoint(N, m) for N, m in [(5, -7), (7, -17), (13, 3), (4 * BAND_ROWS - 1, 5)]]
+        # several bands, the last one partial
+        data.append(graded_product(tlj_data(phase(1, 84)), tlj_data(phase(1, 76))))
         seen = set()
         for D in data:
             rep = find_transparent(D)
@@ -220,7 +223,7 @@ class TestSoN2Adjoint:
                     S[1 + k, 1 + j] = S[1 + j, 1 + k] = v
             return S
 
-        for N, m in [(5, 7), (9, 11), (15, 7), (403, 5)]:
+        for N, m in [(5, 7), (9, 11), (15, 7), (403, 5), (4 * BAND_ROWS - 1, 5)]:
             for sign in (1, -1):
                 got = soN2_adjoint(N, sign * m).s_tilde
                 assert got.tobytes() == entry_loop(N, sign * m).tobytes()
@@ -295,6 +298,24 @@ class TestGradedProduct:
     def test_missing_grading_rejected(self):
         with pytest.raises(ValueError):
             graded_product(su2_level(2), soN2_adjoint(5, -7))
+
+    def test_banded_matches_one_shot(self):
+        # complex data, an empty odd sector, and nested products over
+        # several bands with a partial last one, against the one-shot gather
+        a = np.arange(3)
+        z3 = ModularData(("0", "1", "2"), np.ones(3), (a * a % 3, 3),
+                         np.exp(2j * np.pi * np.outer(a, a) / 3), 3.0, (0, 0, 0)).validate()
+        P = graded_product(tlj_data(phase(1, 84)), tlj_data(phase(1, 76)))
+        assert BAND_ROWS < P.rank < 2 * BAND_ROWS
+        Q = graded_product(P, z3)
+        assert Q.rank > 2 * BAND_ROWS and Q.s_tilde.dtype == np.complex128
+        cases = [(z3, su2_level(4)), (su2_level(4), z3), (su2_level(0), su2_level(5)),
+                 (su2_level(5), su2_level(0)), (tlj_data(phase(1, 84)), tlj_data(phase(1, 76))),
+                 (P, z3), (P, tlj_data(phase(1, 92))), (Q, su2_level(3))]
+        for X, Y in cases:
+            got = graded_product(X, Y).s_tilde
+            assert got.tobytes() == one_shot_oracle.graded_product_s(X, Y).tobytes(), \
+                (X.rank, Y.rank)
 
 
 class TestVerlinde:
@@ -371,12 +392,23 @@ class TestHelpers:
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf,
                                        complex(math.nan, 1.0), complex(1.0, math.inf)])
     def test_validate_rejects_non_finite_entries(self, value):
-        D = su2_level(3)
-        S = D.s_tilde.astype(type(value))
-        S[2, 1] = value
-        bad = ModularData(D.labels, D.dims, D.twists, S, D.total_dim_sq)
-        with pytest.raises(ValueError, match="non-finite S entries"):
-            bad.validate()
+        # in one tile, and only in the partial last band of 2 BAND_ROWS + 1 rows
+        for D, at in ((su2_level(3), (2, 1)), (soN2_adjoint(4 * BAND_ROWS - 1, 5), (-1, 7))):
+            S = D.s_tilde.astype(type(value))
+            S[at] = value
+            bad = ModularData(D.labels, D.dims, D.twists, S, D.total_dim_sq)
+            with pytest.raises(ValueError, match="non-finite S entries"):
+                bad.validate()
+
+    def test_validate_rejects_asymmetry_in_off_diagonal_tile(self):
+        D = soN2_adjoint(4 * BAND_ROWS - 1, 5)
+        assert D.rank == 2 * BAND_ROWS + 1
+        for at in ((3, BAND_ROWS + 5), (BAND_ROWS + 5, 3), (2 * BAND_ROWS, BAND_ROWS + 1)):
+            S = D.s_tilde.copy()
+            S[at] += 1e-3
+            bad = ModularData(D.labels, D.dims, D.twists, S, D.total_dim_sq)
+            with pytest.raises(ValueError, match="not symmetric"):
+                bad.validate()
 
 
 class TestRealS:

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 from itertools import combinations_with_replacement
 from math import gcd
@@ -6,8 +7,10 @@ from math import gcd
 import numpy as np
 import pytest
 
+import one_shot_oracle
 from loop_operator_oracle import s_matrix, sfs_weights, torus_cs, torus_weights
-from mtcforge.algebra import RationalPhase
+from mtcforge import pipeline
+from mtcforge.algebra import BAND_ROWS, RationalPhase, phase_cos
 from mtcforge.catalog import (
     ModularData,
     find_transparent,
@@ -25,7 +28,7 @@ from mtcforge.pipeline import (
     sl2z_diagnostics,
     torus_candidate,
 )
-from mtcforge.seifert import enumerate_characters, make_sfs, z2_homology_sphere
+from mtcforge.seifert import character_count, enumerate_characters, make_sfs, z2_homology_sphere
 from mtcforge.torus_bundle import central_reps, enumerate_torus_characters, make_torus_bundle
 
 
@@ -240,6 +243,92 @@ class TestAdmissibility:
                 assert adm.admissible, combo
 
 
+class TestBandedS:
+    """The S builders against the one-shot formulas, bit for bit: in one
+    piece up to BAND_ROWS labels, and in bands above, with a partial last
+    band."""
+
+    @pytest.fixture
+    def factors_of(self, monkeypatch):
+        """factors_of(build) runs the candidate build() and returns it with
+        the factors it handed to _s_matrix."""
+        calls = []
+        banded = pipeline._s_matrix
+        monkeypatch.setattr(pipeline, "_s_matrix", lambda f: calls.append(f) or banded(f))
+
+        def run(build):
+            calls.clear()
+            C = build()
+            (factors,) = calls
+            return C, factors
+        return run
+
+    def test_sfs_sweep_matches_one_shot(self, factors_of):
+        pairs = [(p, q) for p in range(2, 10) for q in range(1, p) if gcd(p, q) == 1]
+        triples = list(combinations_with_replacement(pairs, 3))
+        assert len(triples) == 3654
+        for combo in triples:
+            M = make_sfs(combo)
+            C, factors = factors_of(lambda: sfs_candidate(M))
+            assert C.data.s_tilde.tobytes() == one_shot_oracle.s_matrix(factors).tobytes(), combo
+            X = graded_product(tlj_data(M.fibers[0].A), tlj_data(M.fibers[1].A))
+            want = one_shot_oracle.graded_product_s(X, tlj_data(M.fibers[2].A))
+            assert triple_product_reference(M).s_tilde.tobytes() == want.tobytes(), combo
+
+    @pytest.mark.parametrize("pairs", [
+        [(6, 1), (7, 3), (18, 5)], [(3, 1), (20, 3), (28, 3)], [(17, 3), (19, 5), (21, 4)]])
+    def test_partial_last_band_matches_one_shot(self, pairs, factors_of):
+        M = make_sfs(pairs)
+        C, factors = factors_of(lambda: sfs_candidate(M))
+        assert C.rank > BAND_ROWS and C.rank % BAND_ROWS in (1, 1440 % BAND_ROWS)
+        assert C.data.s_tilde.tobytes() == one_shot_oracle.s_matrix(factors).tobytes()
+        X = graded_product(tlj_data(M.fibers[0].A), tlj_data(M.fibers[1].A))
+        want = one_shot_oracle.graded_product_s(X, tlj_data(M.fibers[2].A))
+        assert triple_product_reference(M).s_tilde.tobytes() == want.tobytes()
+
+    def test_single_factor_matches_one_shot(self, factors_of):
+        # the reseated unit and a torus bundle, each at rank 2 BAND_ROWS + 1
+        r = 2 * BAND_ROWS + 2
+        M = make_sfs([(3, 1), (3, 1), (r, 1)])
+        C, factors = factors_of(lambda: sfs_candidate(M, unit="reseated"))
+        assert C.rank == 2 * BAND_ROWS + 1
+        assert C.data.s_tilde.tobytes() == one_shot_oracle.s_matrix(factors).tobytes()
+        N = 4 * BAND_ROWS - 1
+        T = make_torus_bundle(N - 3, 1, N - 4, 1)
+        C, [(W, J)] = factors_of(lambda: torus_candidate(T))
+        assert C.rank == 2 * BAND_ROWS + 1 and J is None
+        trace = np.array([phase_cos(RationalPhase.of(n, T.N)) for n in range(T.N)])
+        W_one_shot = one_shot_oracle.torus_weights(T, trace)
+        assert W.tobytes() == W_one_shot.tobytes()
+        assert C.data.s_tilde.tobytes() == one_shot_oracle.s_matrix([(W_one_shot, None)]).tobytes()
+
+    def test_synthetic_factors_match_one_shot(self):
+        rng = np.random.default_rng(5)
+        for rank in (1, BAND_ROWS - 1, BAND_ROWS, BAND_ROWS + 1, 2 * BAND_ROWS + 1):
+            factors = [(rng.standard_normal((n, n)), rng.integers(0, n, rank)) for n in (3, 5, 8)]
+            got = pipeline._s_matrix(factors)
+            assert got.tobytes() == one_shot_oracle.s_matrix(factors).tobytes()
+            W = rng.standard_normal((rank, rank))
+            got = pipeline._s_matrix([(W, None)])
+            assert got.tobytes() == one_shot_oracle.s_matrix([(W, None)]).tobytes()
+
+    def test_rank_1440_memory_is_two_matrices(self):
+        # the candidate and the reference S are kept; the other temporaries
+        # of the builds and of certify come to a few bands (3.8 at
+        # BAND_ROWS = 128), where the one-shot formulas took 34 MB more
+        M = make_sfs([(17, 3), (19, 5), (21, 4)])
+        rank = character_count(M)
+        tracemalloc.start()
+        try:
+            C = sfs_candidate(M)
+            cert = certify(C, triple_product_reference(M))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert cert.passed and C.rank == rank == 1440
+        assert peak <= 2 * rank * rank * 8 + 6 * BAND_ROWS * rank * 8, peak / 1e6
+
+
 class TestCertify:
     def test_self_certification(self):
         C = sfs_candidate(make_sfs([(3, 1), (3, 1), (5, 1)]))
@@ -256,6 +345,21 @@ class TestCertify:
         wrong = reorder(ref, [0, 2, 1])
         cert = certify(C, wrong)
         assert not cert.passed and not cert.twists_equal
+
+    def test_max_s_delta_in_last_band(self):
+        # the largest deviation, and a NaN, in the partial last band only
+        C = sfs_candidate(make_sfs([(6, 1), (7, 3), (18, 5)]))
+        D = C.data
+        assert C.rank == BAND_ROWS + 1
+        for value in (1e-3, math.nan):
+            S = D.s_tilde.copy()
+            S[3, 5] += 1e-6
+            S[BAND_ROWS, 7] += value
+            ref = ModularData(D.labels, D.dims, (D.twist_residues, D.twist_den), S, D.total_dim_sq)
+            cert = certify(C, ref)
+            want = float(np.abs(D.s_tilde - S).max())
+            assert np.array_equal(cert.max_s_delta, want, equal_nan=True)
+            assert not cert.passed
 
     def test_twists_compared_exactly_across_denominators(self):
         for pairs in ([(3, 1), (3, 2), (5, 4)], [(5, 2), (7, 4), (4, 3)], [(2, 1), (3, 1), (4, 1)]):
