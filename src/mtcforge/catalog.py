@@ -4,6 +4,13 @@ Kauffman-bracket categories at a root of unity, their unitary cousins, the
 rank-(r+2) integral subcategories attached to odd orthogonal groups at level
 two, graded products, and the structural checks (transparency, modularity,
 Verlinde fusion) used to certify candidate data.
+
+A graded product above `algebra.BAND_ROWS` labels does not store its S: it
+keeps the factor tables gathered onto its columns, and `ModularData.s_band`
+builds S, or S^T, one band of rows at a time.  Its `validate` and a
+`certify` against it read only such bands, so a certified `sfs` run holds
+one rank^2 matrix, the candidate's.  Reading `s_tilde` builds and keeps the
+full matrix, bit-equal to the one-shot product.
 """
 
 from __future__ import annotations
@@ -28,7 +35,12 @@ class ModularData:
     `twists` is the tuple of reduced RationalPhase, built on first access.
     dtype contract: s_tilde is float64 when every entry is real (a complex
     input with an all-zero imaginary part keeps its real part), and
-    complex128 only when some imaginary part is nonzero."""
+    complex128 only when some imaginary part is nonzero.
+    S contract: `s_band(rows)` returns those rows of S (of S^T with
+    transpose=True); when S is stored they are a read-only view.  A graded
+    product above BAND_ROWS labels stores no S: its bands are built from the
+    factor tables, and `s_tilde` is built on first access, read-only and
+    bit-equal to the stored product, under the same dtype contract."""
 
     labels: tuple[str, ...]
     dims: np.ndarray
@@ -44,23 +56,42 @@ class ModularData:
             raise ValueError(f"twist denominator {den} exceeds 2^31")
         object.__delattr__(self, "twists")
         object.__setattr__(self, "twist_den", den)
-        S = np.asarray(self.s_tilde)
-        if np.iscomplexobj(S) and not S.imag.any():
-            S = S.real
-        S = np.ascontiguousarray(S, dtype=complex if np.iscomplexobj(S) else float)
-        for name, a in (("dims", np.ascontiguousarray(self.dims, dtype=float)),
-                        ("s_tilde", S),
-                        ("twist_residues", np.asarray(res, dtype=np.int64) % den)):
+        frozen = {"dims": np.ascontiguousarray(self.dims, dtype=float),
+                  "twist_residues": np.asarray(res, dtype=np.int64) % den}
+        S = self.s_tilde
+        if isinstance(S, _ProductS):   # s_tilde is built on first access
+            object.__delattr__(self, "s_tilde")
+            object.__setattr__(self, "_s_source", S)
+        else:
+            S = np.asarray(S)
+            if np.iscomplexobj(S) and not S.imag.any():
+                S = S.real
+            frozen["s_tilde"] = np.ascontiguousarray(S, dtype=complex if np.iscomplexobj(S) else float)
+        for name, a in frozen.items():
             a.setflags(write=False)
             object.__setattr__(self, name, a)
 
     def __getattr__(self, name):
-        # `twists`, dropped by __post_init__, is rebuilt from the residues on first use
-        if name != "twists" or "twist_den" not in self.__dict__:
+        # `twists` and a source-backed `s_tilde`, left out by __post_init__,
+        # are built on first use
+        d = self.__dict__
+        if name == "twists" and "twist_den" in d:
+            value = tuple(RationalPhase.of(x, self.twist_den) for x in self.twist_residues.tolist())
+        elif name == "s_tilde" and "_s_source" in d:
+            value = d["_s_source"].build()
+            value.setflags(write=False)
+        else:
             raise AttributeError(name)
-        tw = tuple(RationalPhase.of(x, self.twist_den) for x in self.twist_residues.tolist())
-        object.__setattr__(self, name, tw)
-        return tw
+        object.__setattr__(self, name, value)
+        return value
+
+    def s_band(self, rows: slice, transpose: bool = False) -> np.ndarray:
+        """Rows `rows` of S, or of S^T when transpose: a read-only view when S
+        is stored, built from the factor tables of a source-backed S."""
+        S = self.__dict__.get("s_tilde")
+        if S is None:
+            return self._s_source.rows(rows, transpose)
+        return S[:, rows].T if transpose else S[rows]
 
     @property
     def rank(self) -> int:
@@ -68,32 +99,37 @@ class ModularData:
 
     def validate(self, require_dim_sum: bool = True) -> "ModularData":
         """Check shapes, finiteness, symmetry, the unit row and twist; return
-        self.  Above BAND_ROWS labels the scale pass reads S in bands of
-        BAND_ROWS rows, and the symmetry residual S[i, j] - S[j, i] is taken
-        over BAND_ROWS x BAND_ROWS tiles on and above the diagonal, each
-        against its mirror tile, so no temporary is larger than one band."""
+        self.  S is read through `s_band` in bands of BAND_ROWS rows: each
+        band gives the scale, and the symmetry residual |S[i, j] - S[j, i]|
+        on and above the diagonal is taken against the same rows of S^T, so
+        no temporary is larger than one band and a source-backed S is never
+        stored.  Up to BAND_ROWS labels that is one piece."""
         tol = comparison_tolerance()
         r = self.rank
-        S = self.s_tilde
+        S = self.__dict__.get("s_tilde", self.__dict__.get("_s_source"))
         if S.shape != (r, r) or len(self.dims) != r or len(self.twist_residues) != r:
             raise ValueError("inconsistent rank")
         # np.maximum, unlike Python's max, carries NaN and +-inf from any band
-        # into the scale: it is finite exactly when every entry is
-        scale = 1.0
+        # into the scale: it is finite exactly when every entry is.  A NaN
+        # residual, which Python's max may drop, needs a non-finite entry, so
+        # the scale check below raises first
+        scale, asym = 1.0, 0.0
         for i in range(0, r, BAND_ROWS):
-            scale = np.maximum(scale, np.abs(S[i:i + BAND_ROWS]).max())
+            rows = slice(i, i + BAND_ROWS)
+            A, AT = self.s_band(rows), self.s_band(rows, transpose=True)
+            scale = np.maximum(scale, np.abs(A).max())
+            for j in range(i, r, BAND_ROWS):
+                cols = slice(j, j + BAND_ROWS)
+                asym = max(asym, np.abs(A[:, cols] - AT[:, cols]).max())
+            del A, AT   # a built band is freed before the next one is built
         if not np.isfinite(scale):
             raise ValueError("non-finite S entries")
-        # every entry is finite here, so Python's max over the tiles drops nothing
-        B = BAND_ROWS
-        asym = np.abs(S - S.T).max() if r <= B else max(
-            np.abs(S[i:i + B, j:j + B] - S[j:j + B, i:i + B].T).max()
-            for i in range(0, r, B) for j in range(i, r, B))
         if asym > tol * scale:
             raise ValueError("S-matrix not symmetric")
-        if abs(S[0, 0] - 1.0) > tol:
+        row0 = self.s_band(slice(0, 1))[0]
+        if abs(row0[0] - 1.0) > tol:
             raise ValueError("S[0,0] must be 1 (unit-normalized)")
-        if np.abs(S[0, :] - self.dims).max() > tol * scale:
+        if np.abs(row0 - self.dims).max() > tol * scale:
             raise ValueError("first S row must equal quantum dimensions")
         # candidates report the dim-sum identity through the admissibility
         # check instead; it can genuinely fail for inadmissible label sets
@@ -210,19 +246,54 @@ def graded_product(X: ModularData, Y: ModularData) -> ModularData:
     L = math.lcm(X.twist_den, Y.twist_den)
     twists = (X.twist_residues[ii] * (L // X.twist_den)
               + Y.twist_residues[jj] * (L // Y.twist_den)) % L
-    # S[a, b] = X[ii[a], ii[b]] * Y[jj[a], jj[b]], written in bands of rows
-    Xc, Yc = X.s_tilde.take(ii, 1), Y.s_tilde.take(jj, 1)
+    # S[a, b] = X[ii[a], ii[b]] * Y[jj[a], jj[b]]; above BAND_ROWS labels it
+    # is not stored but built band by band where it is read
     if len(ii) <= BAND_ROWS:
-        S = Xc.take(ii, 0) * Yc.take(jj, 0)
+        S = X.s_tilde.take(ii, 1).take(ii, 0) * Y.s_tilde.take(jj, 1).take(jj, 0)
     else:
-        S = np.empty((len(ii), len(ii)), dtype=np.result_type(Xc, Yc))
-        for start in range(0, len(ii), BAND_ROWS):
-            rows = slice(start, start + BAND_ROWS)
-            np.multiply(Xc.take(ii[rows], 0), Yc.take(jj[rows], 0), out=S[rows])
+        S = _ProductS(X, Y, ii, jj)
     sector = lambda D, gd, g: float(np.sum(D.dims[gd == g] ** 2))
     D2 = sector(X, gx, 0) * sector(Y, gy, 0) + sector(X, gx, 1) * sector(Y, gy, 1)
     grading = tuple(gx[ii].tolist())
     return ModularData(labels, dims, (twists, L), S, D2, grading).validate()
+
+
+class _ProductS:
+    """The S of a graded product, S[a, b] = X[ii[a], ii[b]] * Y[jj[a], jj[b]],
+    held as the factor tables gathered onto the product's columns, and as
+    the transposed factors' tables for the rows of S^T.  A band of rows is
+    the product of two row gathers, so it is bit-equal to the same rows of
+    the stored product."""
+
+    def __init__(self, X: ModularData, Y: ModularData, ii: np.ndarray, jj: np.ndarray):
+        def tables(F, idx):
+            # an exactly symmetric factor, as every Kauffman factor is, is its own transpose
+            S = F.s_tilde
+            T = S.take(idx, 1)
+            return T, T if np.array_equal(S, S.T) else S.T.take(idx, 1)
+
+        (Xc, XcT), (Yc, YcT) = tables(X, ii), tables(Y, jj)
+        self.ii, self.jj, self.tables = ii, jj, ((Xc, Yc), (XcT, YcT))
+        self.shape = (len(ii), len(ii))
+        # ModularData's dtype contract: complex only when some imaginary part is nonzero
+        self.dtype = np.result_type(Xc, Yc)
+        if self.dtype == complex and not any(self.rows(slice(i, i + BAND_ROWS)).imag.any()
+                                             for i in range(0, len(ii), BAND_ROWS)):
+            self.dtype = np.dtype(float)
+
+    def rows(self, rows: slice, transpose: bool = False) -> np.ndarray:
+        Xc, Yc = self.tables[transpose]
+        # one gather at a time: the band and one gather are all it holds
+        band = Xc.take(self.ii[rows], 0).astype(np.result_type(Xc, Yc), copy=False)
+        band *= Yc.take(self.jj[rows], 0)
+        return band if band.dtype == self.dtype else band.real
+
+    def build(self) -> np.ndarray:
+        S = np.empty(self.shape, self.dtype)
+        for start in range(0, len(S), BAND_ROWS):
+            rows = slice(start, start + BAND_ROWS)
+            S[rows] = self.rows(rows)
+        return S
 
 
 def find_transparent(D: ModularData) -> ModularityReport:

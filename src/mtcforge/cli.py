@@ -42,6 +42,9 @@ EXIT_BAD_INPUT = 2
 
 # the library has no size bound; the CLI refuses a candidate of larger rank
 MAX_RANK = 5000
+# and a `torus --oracle` connecting word of more terms than this: the word has
+# up to |a d| + |b c| terms, however small the rank
+ORACLE_MAX_TERMS = 10**6
 
 
 # --- JSON schema -----------------------------------------------------------
@@ -250,6 +253,11 @@ def cmd_torus(args) -> int:
     rank = (T.N + 3) // 2
     if rank > MAX_RANK:
         print(f"error: rank {rank} exceeds {MAX_RANK}", file=sys.stderr)
+        return EXIT_BAD_INPUT
+    terms = abs(a * d) + abs(b * c)
+    if args.oracle and terms > ORACLE_MAX_TERMS:
+        print(f"error: oracle word bound |ad| + |bc| = {terms} exceeds {ORACLE_MAX_TERMS}",
+              file=sys.stderr)
         return EXIT_BAD_INPUT
     C = torus_candidate(T)
     reference = soN2_adjoint(T.N, T.m)

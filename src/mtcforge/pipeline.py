@@ -17,8 +17,11 @@ for the reseated unit.
 Above `algebra.BAND_ROWS` labels, every rank^2 pass here (the S build, the
 torus weight table and the `certify` comparison) works in row bands of
 BAND_ROWS rows written into or read from the final arrays, so that no
-temporary is larger than one band and a rank-1440 candidate holds one
-S-matrix, not several.  Smaller matrices are handled in one piece.
+temporary is larger than one band.  Smaller matrices are handled in one
+piece.  `certify` reads both S-matrices through `ModularData.s_band`, so a
+graded-product reference, which stores no S above BAND_ROWS labels, is
+checked band by band and a certified `sfs` run holds one S-matrix, the
+candidate's.
 """
 
 from __future__ import annotations
@@ -278,15 +281,14 @@ def certify(C: CandidateData, D: ModularData) -> Certificate:
     tol = comparison_tolerance()
     if C.rank != D.rank:
         raise ValueError(f"rank mismatch: candidate {C.rank}, reference {D.rank}")
-    S, R = C.data.s_tilde, D.s_tilde
-    if C.rank <= BAND_ROWS:
-        ds, scale = np.abs(S - R).max(), np.abs(R).max()
-    else:   # band by band; np.maximum, unlike Python's max, carries NaN through
-        ds = scale = 0.0
-        for start in range(0, C.rank, BAND_ROWS):
-            rows = slice(start, start + BAND_ROWS)
-            ds = np.maximum(ds, np.abs(S[rows] - R[rows]).max())
-            scale = np.maximum(scale, np.abs(R[rows]).max())
+    # band by band, one piece up to BAND_ROWS labels; a reference whose S is
+    # not stored builds each band here.  np.maximum, unlike Python's max,
+    # carries NaN through
+    for start in range(0, C.rank, BAND_ROWS):
+        rows = slice(start, start + BAND_ROWS)
+        R = D.s_band(rows)
+        band = np.abs(C.data.s_band(rows) - R).max(), np.abs(R).max()
+        ds, scale = band if start == 0 else np.maximum((ds, scale), band)
     ds = float(ds)
     # a / d == b / e exactly when a e == b d; both products stay below d e < 2^62
     tw = not (C.data.twist_residues * D.twist_den - D.twist_residues * C.data.twist_den).any()

@@ -23,6 +23,8 @@ from mtcforge.catalog import (
     verlinde_fusion,
 )
 
+# the largest product whose whole S test_matches_pair_loop gathers (8 MB)
+FULL_S_MAX_RANK = 1024
 GOLDEN = (1 + math.sqrt(5)) / 2
 PHI = (1 - math.sqrt(5)) / 2  # the conjugate root
 
@@ -37,6 +39,22 @@ def graded_data():
         lambda d: st.integers(0, d - 1).map(lambda n: RationalPhase.of(n, d)))
     return st.one_of(kauffman.filter(lambda A: (4 * A).order() >= 2).map(tlj_data),
                      st.integers(0, 8).map(su2_level))
+
+
+def z3_data():
+    a = np.arange(3)
+    return ModularData(("0", "1", "2"), np.ones(3), (a * a % 3, 3),
+                       np.exp(2j * np.pi * np.outer(a, a) / 3), 3.0, (0, 0, 0)).validate()
+
+
+def is_stored(D):
+    return "s_tilde" in vars(D)
+
+
+def regraded(D, S):
+    """D with S in place of its S-matrix, every label even, not validated."""
+    return ModularData(D.labels, D.dims, (D.twist_residues, D.twist_den), S, D.total_dim_sq,
+                       (0,) * D.rank)
 
 
 class TestKauffmanData:
@@ -282,7 +300,10 @@ class TestGradedProduct:
     @given(graded_data(), graded_data(), graded_data())
     @settings(max_examples=60, deadline=None)
     def test_matches_pair_loop(self, X, Y, Z):
-        # the label-pair loop and RationalPhase sums that the array form replaced
+        # the label-pair loop and RationalPhase sums that the array form replaced.
+        # S is compared band by band against per-band gathers of the pair loop,
+        # and whole only up to FULL_S_MAX_RANK labels: the nested product can
+        # reach rank 13,718, whose S alone would take 1.5 GB
         for P, Q in ((X, Y), (graded_product(X, Y), Z)):
             D = graded_product(P, Q)
             pairs = [(i, j) for g in (0, 1) for i in range(P.rank) if P.grading[i] == g
@@ -290,9 +311,14 @@ class TestGradedProduct:
             assert D.labels == tuple(f"({P.labels[i]},{Q.labels[j]})" for i, j in pairs)
             assert D.grading == tuple(P.grading[i] for i, _ in pairs)
             assert D.twists == tuple(P.twists[i] + Q.twists[j] for i, j in pairs)
-            ii, jj = [i for i, _ in pairs], [j for _, j in pairs]
-            S = P.s_tilde[np.ix_(ii, ii)] * Q.s_tilde[np.ix_(jj, jj)]
-            assert D.s_tilde.tobytes() == S.tobytes()
+            ii, jj = np.array([i for i, _ in pairs]), np.array([j for _, j in pairs])
+            for start in range(0, D.rank, BAND_ROWS):
+                rows = slice(start, start + BAND_ROWS)
+                S = P.s_tilde[np.ix_(ii[rows], ii)] * Q.s_tilde[np.ix_(jj[rows], jj)]
+                assert D.s_band(rows).tobytes() == S.tobytes()
+            if D.rank <= FULL_S_MAX_RANK:
+                S = P.s_tilde[np.ix_(ii, ii)] * Q.s_tilde[np.ix_(jj, jj)]
+                assert D.s_tilde.tobytes() == S.tobytes()
             assert D.dims.tobytes() == (P.dims[ii] * Q.dims[jj]).tobytes()
 
     def test_missing_grading_rejected(self):
@@ -302,9 +328,7 @@ class TestGradedProduct:
     def test_banded_matches_one_shot(self):
         # complex data, an empty odd sector, and nested products over
         # several bands with a partial last one, against the one-shot gather
-        a = np.arange(3)
-        z3 = ModularData(("0", "1", "2"), np.ones(3), (a * a % 3, 3),
-                         np.exp(2j * np.pi * np.outer(a, a) / 3), 3.0, (0, 0, 0)).validate()
+        z3 = z3_data()
         P = graded_product(tlj_data(phase(1, 84)), tlj_data(phase(1, 76)))
         assert BAND_ROWS < P.rank < 2 * BAND_ROWS
         Q = graded_product(P, z3)
@@ -316,6 +340,81 @@ class TestGradedProduct:
             got = graded_product(X, Y).s_tilde
             assert got.tobytes() == one_shot_oracle.graded_product_s(X, Y).tobytes(), \
                 (X.rank, Y.rank)
+
+
+class TestSourceBackedS:
+    """A graded product above BAND_ROWS labels stores no S: validate and
+    s_band build its bands from the factor tables, s_tilde on first access."""
+
+    def test_stored_up_to_band_rows(self):
+        for X, Y in ((su2_level(4), su2_level(5)),
+                     (tlj_data(phase(1, 84)), tlj_data(phase(1, 76)))):
+            D = graded_product(X, Y)
+            assert is_stored(D) == (D.rank <= BAND_ROWS), D.rank
+
+    def test_bands_match_materialized_s(self):
+        D = graded_product(tlj_data(phase(1, 84)), tlj_data(phase(1, 76)))
+        assert BAND_ROWS < D.rank < 2 * BAND_ROWS and not is_stored(D)
+        bands = [(slice(i, i + BAND_ROWS), D.s_band(slice(i, i + BAND_ROWS)),
+                  D.s_band(slice(i, i + BAND_ROWS), transpose=True))
+                 for i in range(0, D.rank, BAND_ROWS)]
+        S = D.s_tilde
+        assert is_stored(D)
+        for rows, A, AT in bands:
+            assert A.tobytes() == S[rows].tobytes() and AT.tobytes() == S.T[rows].tobytes()
+            # once stored, a band is a read-only view
+            view = D.s_band(rows)
+            assert np.shares_memory(view, S) and not view.flags.writeable
+            assert view.tobytes() == A.tobytes()
+
+    def test_materialized_s_is_read_only_one_shot(self):
+        # float64, complex128, and a complex product whose imaginary parts are all zero
+        P = graded_product(tlj_data(phase(1, 84)), tlj_data(phase(1, 76)))
+        D = soN2_adjoint(4 * BAND_ROWS - 1, 5)
+        S = np.ones((D.rank + 1, D.rank + 1), dtype=complex)
+        S[:-1, :-1] = D.s_tilde
+        S[-1, -1] = 1j
+        # the imaginary entry sits on an odd label, which a trivially graded factor drops
+        odd_imaginary = ModularData(D.labels + ("x",), np.append(D.dims, 1.0),
+                                    D.twists + (phase(0, 1),), S, D.total_dim_sq + 1.0,
+                                    (0,) * D.rank + (1,))
+        for X, Y, dtype in ((P, tlj_data(phase(1, 92)), np.float64),
+                            (P, z3_data(), np.complex128),
+                            (odd_imaginary, su2_level(0), np.float64)):
+            G = graded_product(X, Y)
+            assert G.rank > BAND_ROWS and not is_stored(G)
+            assert G.s_band(slice(0, BAND_ROWS)).dtype == dtype
+            assert G.s_tilde.dtype == dtype and not G.s_tilde.flags.writeable
+            want = one_shot_oracle.graded_product_s(X, Y)
+            assert G.s_tilde.tobytes() == (want if dtype == np.complex128 else want.real).tobytes()
+
+    def test_nested_product_matches_stored(self):
+        inner = [tlj_data(phase(1, 84)), tlj_data(phase(1, 76))]
+        P = graded_product(*inner)
+        assert P.rank > BAND_ROWS and not is_stored(P)
+        stored = ModularData(P.labels, P.dims, (P.twist_residues, P.twist_den),
+                             np.array(graded_product(*inner).s_tilde), P.total_dim_sq, P.grading)
+        Z = tlj_data(phase(1, 92))
+        got, want = graded_product(P, Z), graded_product(stored, Z)
+        assert got.labels == want.labels and got.twists == want.twists
+        assert got.dims.tobytes() == want.dims.tobytes()
+        assert got.s_tilde.tobytes() == want.s_tilde.tobytes()
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, "asymmetric"])
+    def test_validate_rejects_bad_factor_entries(self, value):
+        # in the first band, and only in the partial last band of 2 BAND_ROWS + 1 rows
+        D = soN2_adjoint(4 * BAND_ROWS - 1, 5)
+        assert D.rank == 2 * BAND_ROWS + 1
+        match = "not symmetric" if value == "asymmetric" else "non-finite S entries"
+        for at in ((2, 1), (2 * BAND_ROWS, 7)):
+            S = D.s_tilde.copy()
+            S[at] = S[at] + 1e-3 if value == "asymmetric" else value
+            X = regraded(D, S)
+            with pytest.raises(ValueError, match=match):
+                X.validate()
+            with pytest.raises(ValueError, match=match):
+                graded_product(X, su2_level(0))
+        assert not is_stored(graded_product(regraded(D, D.s_tilde), su2_level(0)).validate())
 
 
 class TestVerlinde:

@@ -225,6 +225,22 @@ class TestTorusCommand:
         with pytest.raises(AssertionError, match="torus_candidate called"):
             run_cli(["torus", "--monodromy", "9994,1,9993,1"])
 
+    def test_oracle_word_budget_checked_before_building(self, monkeypatch):
+        def refuse(T):
+            raise AssertionError("connecting_word called")
+
+        monkeypatch.setattr(cli, "connecting_word", refuse)
+        assert cli.ORACLE_MAX_TERMS == 10**6
+        # N = 11 (rank 7) with b = -1 and d = 9 - a: |ad| + |bc| = 1,001,073
+        code, out, err = run_cli(["torus", "--monodromy", "712,-1,500537,-703", "--oracle",
+                                  "--format", "json"])
+        assert code == 2 and out == ""
+        assert "|ad| + |bc| = 1001073 exceeds 1000000" in err
+        # without --oracle no word is built, and 998,245 terms pass the bound
+        assert run_cli(["torus", "--monodromy", "712,-1,500537,-703", "--format", "csv"])[0] == 0
+        with pytest.raises(AssertionError, match="connecting_word called"):
+            run_cli(["torus", "--monodromy", "711,-1,499123,-702", "--oracle", "--format", "json"])
+
     def test_bad_determinant_exit_2(self):
         code, _, err = run_cli(["torus", "--monodromy", "3,1,1,0"])
         assert code == 2 and "determinant" in err

@@ -1,5 +1,7 @@
+import io
 import math
 import tracemalloc
+from contextlib import redirect_stdout
 from fractions import Fraction
 from itertools import combinations_with_replacement
 from math import gcd
@@ -9,7 +11,7 @@ import pytest
 
 import one_shot_oracle
 from loop_operator_oracle import s_matrix, sfs_weights, torus_cs, torus_weights
-from mtcforge import pipeline
+from mtcforge import catalog, cli, pipeline
 from mtcforge.algebra import BAND_ROWS, RationalPhase, phase_cos
 from mtcforge.catalog import (
     ModularData,
@@ -34,6 +36,13 @@ from mtcforge.torus_bundle import central_reps, enumerate_torus_characters, make
 
 def phase(num, den):
     return RationalPhase.of(Fraction(num, den))
+
+
+def run_cli(argv):
+    out = io.StringIO()
+    with redirect_stdout(out):
+        code = cli.main(argv)
+    return code, out.getvalue()
 
 
 def triple_product_reference(M):
@@ -312,21 +321,50 @@ class TestBandedS:
             got = pipeline._s_matrix([(W, None)])
             assert got.tobytes() == one_shot_oracle.s_matrix([(W, None)]).tobytes()
 
-    def test_rank_1440_memory_is_two_matrices(self):
-        # the candidate and the reference S are kept; the other temporaries
-        # of the builds and of certify come to a few bands (3.8 at
-        # BAND_ROWS = 128), where the one-shot formulas took 34 MB more
-        M = make_sfs([(17, 3), (19, 5), (21, 4)])
-        rank = character_count(M)
+    # what a rank-1440 certification may hold beyond the candidate's S: six
+    # bands (8.8 MB at BAND_ROWS = 128); it was a second rank^2 matrix, the
+    # reference's, and before banding 34 MB more
+    RANK_1440 = [(17, 3), (19, 5), (21, 4)]
+
+    @staticmethod
+    def one_matrix(rank):
+        return rank * rank * 8 + 6 * BAND_ROWS * rank * 8
+
+    @staticmethod
+    def traced_peak(run):
         tracemalloc.start()
         try:
-            C = sfs_candidate(M)
-            cert = certify(C, triple_product_reference(M))
-            peak = tracemalloc.get_traced_memory()[1]
+            out = run()
+            return out, tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
+
+    def test_rank_1440_memory_is_one_matrix(self):
+        M = make_sfs(self.RANK_1440)
+        rank = character_count(M)
+
+        def run():
+            C = sfs_candidate(M)
+            return C, certify(C, triple_product_reference(M))
+
+        (C, cert), peak = self.traced_peak(run)
         assert cert.passed and C.rank == rank == 1440
-        assert peak <= 2 * rank * rank * 8 + 6 * BAND_ROWS * rank * 8, peak / 1e6
+        assert peak <= self.one_matrix(rank), peak / 1e6
+
+    def test_rank_1440_csv_command_memory_is_one_matrix(self):
+        argv = ["sfs"] + [a for p, q in self.RANK_1440 for a in ("--fiber", f"{p},{q}")]
+        (code, out), peak = self.traced_peak(lambda: run_cli(argv + ["--format", "csv"]))
+        assert code == 0 and out.count("\n") == 1441
+        assert peak <= self.one_matrix(1440), peak / 1e6
+
+    def test_reference_stores_no_s_until_read(self):
+        M = make_sfs(self.RANK_1440)
+        X = graded_product(tlj_data(M.fibers[0].A), tlj_data(M.fibers[1].A))
+        Z = tlj_data(M.fibers[2].A)
+        R, peak = self.traced_peak(lambda: graded_product(X, Z))
+        assert R.rank == 1440 and peak < 1440 * 1440 * 8, peak / 1e6
+        S, peak = self.traced_peak(lambda: R.s_tilde)
+        assert peak >= S.nbytes == 1440 * 1440 * 8
 
 
 class TestCertify:
@@ -355,11 +393,18 @@ class TestCertify:
             S = D.s_tilde.copy()
             S[3, 5] += 1e-6
             S[BAND_ROWS, 7] += value
-            ref = ModularData(D.labels, D.dims, (D.twist_residues, D.twist_den), S, D.total_dim_sq)
-            cert = certify(C, ref)
             want = float(np.abs(D.s_tilde - S).max())
-            assert np.array_equal(cert.max_s_delta, want, equal_nan=True)
-            assert not cert.passed
+            stored = ModularData(D.labels, D.dims, (D.twist_residues, D.twist_den), S,
+                                 D.total_dim_sq)
+            # the same S as an unvalidated graded product with a rank-1 factor, built in bands
+            ii, jj = np.arange(C.rank), np.zeros(C.rank, dtype=np.int64)
+            banded = ModularData(D.labels, D.dims, (D.twist_residues, D.twist_den),
+                                 catalog._ProductS(stored, su2_level(0), ii, jj), D.total_dim_sq)
+            for ref in (stored, banded):
+                cert = certify(C, ref)
+                assert np.array_equal(cert.max_s_delta, want, equal_nan=True)
+                assert not cert.passed
+            assert "s_tilde" not in vars(banded)
 
     def test_twists_compared_exactly_across_denominators(self):
         for pairs in ([(3, 1), (3, 2), (5, 4)], [(5, 2), (7, 4), (4, 3)], [(2, 1), (3, 1), (4, 1)]):
