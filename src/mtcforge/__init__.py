@@ -44,6 +44,7 @@ from .torus_bundle import (
     TorusCharacter,
     TorusMonodromy,
     build_adjoint_complex,
+    build_adjoint_complexes,
     enumerate_torus_characters,
     make_torus_bundle,
     torus_torsion,

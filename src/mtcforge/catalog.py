@@ -103,12 +103,18 @@ class ModularData:
         band gives the scale, and the symmetry residual |S[i, j] - S[j, i]|
         on and above the diagonal is taken against the same rows of S^T, so
         no temporary is larger than one band and a source-backed S is never
-        stored.  Up to BAND_ROWS labels that is one piece."""
+        stored.  Up to BAND_ROWS labels that is one piece.  A graded product
+        whose factors are both exactly symmetric (the np.array_equal(S, S.T)
+        test its source makes on each factor) has bands of S^T equal to
+        those of S bit for bit; for it that exact test is the symmetry
+        check, and the residual pass is skipped."""
         tol = comparison_tolerance()
         r = self.rank
         S = self.__dict__.get("s_tilde", self.__dict__.get("_s_source"))
         if S.shape != (r, r) or len(self.dims) != r or len(self.twist_residues) != r:
             raise ValueError("inconsistent rank")
+        source = self.__dict__.get("_s_source")
+        symmetric = source is not None and source.symmetric
         # np.maximum, unlike Python's max, carries NaN and +-inf from any band
         # into the scale: it is finite exactly when every entry is.  A NaN
         # residual, which Python's max may drop, needs a non-finite entry, so
@@ -116,12 +122,15 @@ class ModularData:
         scale, asym = 1.0, 0.0
         for i in range(0, r, BAND_ROWS):
             rows = slice(i, i + BAND_ROWS)
-            A, AT = self.s_band(rows), self.s_band(rows, transpose=True)
+            A = self.s_band(rows)
             scale = np.maximum(scale, np.abs(A).max())
-            for j in range(i, r, BAND_ROWS):
-                cols = slice(j, j + BAND_ROWS)
-                asym = max(asym, np.abs(A[:, cols] - AT[:, cols]).max())
-            del A, AT   # a built band is freed before the next one is built
+            if not symmetric:
+                AT = self.s_band(rows, transpose=True)
+                for j in range(i, r, BAND_ROWS):
+                    cols = slice(j, j + BAND_ROWS)
+                    asym = max(asym, np.abs(A[:, cols] - AT[:, cols]).max())
+                del AT
+            del A   # a built band is freed before the next one is built
         if not np.isfinite(scale):
             raise ValueError("non-finite S entries")
         if asym > tol * scale:
@@ -274,6 +283,8 @@ class _ProductS:
 
         (Xc, XcT), (Yc, YcT) = tables(X, ii), tables(Y, jj)
         self.ii, self.jj, self.tables = ii, jj, ((Xc, Yc), (XcT, YcT))
+        # both factors exactly symmetric: the rows of S^T are the rows of S
+        self.symmetric = XcT is Xc and YcT is Yc
         self.shape = (len(ii), len(ii))
         # ModularData's dtype contract: complex only when some imaginary part is nonzero
         self.dtype = np.result_type(Xc, Yc)

@@ -34,7 +34,7 @@ from .pipeline import (
 )
 from .seifert import character_count, make_sfs, z2_homology_sphere
 from .torsion_engine import chain_torsion
-from .torus_bundle import build_adjoint_complex, connecting_word, make_torus_bundle
+from .torus_bundle import build_adjoint_complexes, connecting_word, make_torus_bundle
 
 EXIT_OK = 0
 EXIT_FAILED = 1
@@ -265,9 +265,9 @@ def cmd_torus(args) -> int:
     extra = {"N": T.N, "c_tilde": T.c_tilde, "m": T.m}
     if args.oracle:
         rows = []
-        w = connecting_word(T)
-        for chi, closed in zip(C.characters, C.torsions):
-            res = chain_torsion(build_adjoint_complex(T, chi, w=w))
+        complexes = build_adjoint_complexes(T, C.characters, w=connecting_word(T))
+        for chi, closed, complex_ in zip(C.characters, C.torsions, complexes):
+            res = chain_torsion(complex_)
             rows.append({"label": chi.label(), "oracle": res.value,
                          "closed_form": float(closed), "acyclic": res.acyclic})
         extra["oracle"] = rows

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -63,19 +64,34 @@ class TorsionResult:
     per_degree_ranks: tuple[int, ...]  # rank of d_i for i = 1..n
 
 
+@lru_cache(maxsize=64)
+def _geqp3(m: int, n: int):
+    """LAPACK zgeqp3 and its optimal workspace for (m, n) matrices, queried
+    as scipy.linalg.qr queries it: the same size gives the same blocking,
+    so the same pivots and R."""
+    from scipy.linalg import lapack  # the only scipy use: importing mtcforge does not load it
+    work = lapack.zgeqp3(np.zeros((m, n), dtype=complex), lwork=-1)[3]
+    return lapack.zgeqp3, int(work[0].real)
+
+
 def _pivot_columns(M: np.ndarray) -> list[int]:
-    """Column indices of a maximal independent set, by pivoted QR."""
+    """Column indices of a maximal independent set, by pivoted QR: the
+    column pivots of LAPACK zgeqp3 whose |R[i, i]| exceed the tolerance.
+    Only R's diagonal and the pivots are read, so Q is never formed."""
     if M.size == 0:
         return []
     norms = np.linalg.norm(M, axis=0)
     top = norms.max()
     if top == 0.0:
         return []
-    import scipy.linalg as sla  # the only scipy use: importing mtcforge does not load it
-    _, R, perm = sla.qr(M, mode="economic", pivoting=True)
-    diag = np.abs(np.diag(R))
-    rank = int((diag > DEFAULT_TOL * top).sum())
-    return [int(c) for c in perm[:rank]]
+    geqp3, lwork = _geqp3(*M.shape)
+    # a Fortran-ordered complex copy that zgeqp3 may overwrite
+    qr, jpvt, _, _, info = geqp3(np.array(M, dtype=complex, order="F"), lwork=lwork,
+                                 overwrite_a=True)
+    if info < 0:
+        raise ValueError(f"illegal value in argument {-info} of zgeqp3")
+    rank = int((np.abs(np.diag(qr)) > DEFAULT_TOL * top).sum())
+    return (jpvt[:rank] - 1).tolist()
 
 
 def chain_torsion(C: BasedChainComplex, pivots: dict[int, list[int]] | None = None) -> TorsionResult:

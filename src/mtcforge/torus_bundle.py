@@ -6,8 +6,12 @@ twisted cellular chain complex that feeds the torsion oracle.  The cell
 structure has one 0-cell, three 1-cells (x, y, h), three 2-cells carrying
 the relations y x y^-1 x^-1, h^-1 x h (x^a y^c)^-1, h x^b y^d h^-1 y^-1,
 and one 3-cell.  The boundary maps are Fox derivatives of these relations,
-evaluated letter by letter in the adjoint representation of a character;
-no group-ring element is ever formed.
+evaluated directly in the adjoint representation; no group-ring element is
+ever formed.  `build_adjoint_complexes` builds the complexes of many
+characters in one pass: each relator letter and the connecting word are
+evaluated once, as numpy stacks over the characters, with every sum taken
+in the same order as for one character, so a complex does not depend on
+the characters it was built with.
 """
 
 from __future__ import annotations
@@ -15,6 +19,8 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from functools import lru_cache
+from itertools import chain
 from math import gcd
 
 import numpy as np
@@ -163,48 +169,132 @@ def connecting_word(T: TorusMonodromy) -> dict[tuple[int, int], int]:
     return {key: coeff for key, coeff in w.items() if coeff}
 
 
-def _adjoint_evaluator(T: TorusMonodromy, chi: TorusCharacter):
-    """(ev, H, H^-1) at chi: ev(terms) is the adjoint image of
-    sum c (x^i y^j)^-1 over terms [(i, j, c), ...], and H = rho(h).
+def _sums(terms: np.ndarray) -> np.ndarray:
+    """Sums over the last axis in the order of Python's sum: cumsum adds term
+    by term, where np.sum would pair.  Python's sum starts from 0, and 0 + t
+    differs from t only for t = -0.0; adding 0.0 at the end settles that
+    case, as a running sum can only be -0.0 if every term so far was."""
+    return np.cumsum(terms, axis=-1)[..., -1] + 0.0
 
-    The sums run over Python scalars: a letter or geometric sum has at most
-    a few dozen terms, too few to repay numpy's per-call cost.
+
+def _adjoint_evaluator(T: TorusMonodromy, chars: list[TorusCharacter]):
+    """(ev, H) over characters listed reducible first.  ev(i, j, c) takes
+    int64 arrays of shape (S, L), one sum of L terms per row, and returns
+    the adjoint images of sum_t c[s, t] (x^i[s, t] y^j[s, t])^-1 at every
+    character, shape (S, n, 3, 3).  H[k + 1] stacks the antipoded image of
+    h^k, rho(h)^-k, for k = -1, 0, 1, shape (3, n, 3, 3).
+
+    Each entry is computed for all rows and characters at once, with the
+    float operations of a Python loop over the terms of one sum at one
+    character, in the same order; so an image does not depend on the batch
+    it was computed in.  Rows are padded to a common length with terms of
+    coefficient 0, which add signed zeros and leave each sum unchanged.
     """
-    if chi.kind == "irreducible":
-        H = np.array([[0, 0, -1], [0, -1, 0], [-1, 0, 0]], dtype=complex)
-        # rho(x^i y^j) = diag(z, 1, 1/z) with z = exp(4 pi i n / N), n = k i + l j;
-        # its inverse puts zbar[n mod N] first on the diagonal
-        zbar = [cmath.exp(2j * math.pi * ((-2 * n) % T.N) / T.N) for n in range(T.N)]
+    n = len(chars)
+    red = sum(chi.kind != "irreducible" for chi in chars)
+    H = np.zeros((3, n, 3, 3), dtype=complex)
+    H[1] = np.eye(3)
+    if red:
+        v2 = np.array([chi.v * chi.v for chi in chars[:red]])
+        diag = np.stack([v2, np.ones(red), 1 / v2], axis=-1)
+        H[0, :red][:, _DIAG, _DIAG], H[2, :red][:, _DIAG, _DIAG] = diag, diag[:, ::-1]
+        u = np.array([[chi.u] for chi in chars[:red]])
+    if red < n:
+        H[0, red:] = H[2, red:] = [[0, 0, -1], [0, -1, 0], [-1, 0, 0]]
+        # rho(x^i y^j) = diag(z, 1, 1/z) at rho_k, with z = exp(4 pi i n / N)
+        # and n = k i + l j; its inverse puts zbar[n mod N] first on the diagonal
+        zbar = np.array([cmath.exp(2j * math.pi * ((-2 * m) % T.N) / T.N) for m in range(T.N)])
+        k, l = np.array([(chi.k, chi.l) for chi in chars[red:]], dtype=np.int64).T[..., None]
 
-        def ev(terms) -> np.ndarray:
-            s = sum(c * zbar[(chi.k * i + chi.l * j) % T.N] for i, j, c in terms)
-            s0 = sum(c for _, _, c in terms)
-            return np.array([[s, 0, 0], [0, s0, 0], [0, 0, s.conjugate()]], dtype=complex)
+    def ev(i: np.ndarray, j: np.ndarray, c: np.ndarray) -> np.ndarray:
+        i, j, c = i[:, None], j[:, None], c[:, None]   # rows x characters x terms
+        out = np.zeros((len(c), n, 3, 3), dtype=complex)
+        s0 = c.sum(axis=-1)
+        if red:
+            # rho(x^i y^j)^-1 is unipotent in mu = -(i + j u), quadratic in
+            # mu: the sum needs only the moments sum c, sum c mu, sum c mu^2
+            mu = -(i + j * u)
+            c_mu = c * mu
+            s1 = _sums(c_mu)
+            R = out[:, :red]
+            R[..., 0, 0] = R[..., 1, 1] = R[..., 2, 2] = s0
+            R[..., 0, 1], R[..., 0, 2], R[..., 1, 2] = -2 * s1, -_sums(c_mu * mu), s1
+        if red < n:
+            # exponents reduced mod N first, so that no product leaves int64
+            s = _sums(c * zbar[(k * (i % T.N) + l * (j % T.N)) % T.N])
+            D = out[:, red:]
+            # a sum of no terms is Python's int 0, whose conjugate keeps +0.0
+            D[..., 0, 0], D[..., 1, 1] = s, s0
+            D[..., 2, 2] = np.where(c.any(axis=-1), s.conj(), 0)
+        return out
 
-        return ev, H, H
-
-    v2 = chi.v * chi.v
-
-    def ev(terms) -> np.ndarray:
-        # rho(x^i y^j)^-1 is unipotent in mu = -(i + j u), quadratic in mu:
-        # the sum needs only the moments sum c, sum c mu, sum c mu^2
-        s0 = s1 = s2 = 0.0
-        for i, j, c in terms:
-            mu = -(i + j * chi.u)
-            s0, s1, s2 = s0 + c, s1 + c * mu, s2 + c * mu * mu
-        return np.array([[s0, -2 * s1, -s2], [0, s0, s1], [0, 0, s0]], dtype=complex)
-
-    H = np.diag([v2, 1.0, 1 / v2]).astype(complex)
-    return ev, H, np.diag([1 / v2, 1.0, v2]).astype(complex)
+    return ev, H
 
 
-def build_adjoint_complex(T: TorusMonodromy, chi: TorusCharacter,
-                          w: dict[tuple[int, int], int] | None = None) -> BasedChainComplex:
-    """Twisted cellular complex (3, 9, 9, 3) of the bundle at a character.
+# The three relators y x y^-1 x^-1, h^-1 x h (x^a y^c)^-1 and h x^b y^d h^-1 y^-1,
+# letter by letter: their generators here, their exponents from _exponents.
+# A batch keeps a table of images with a row for the antipoded image of each
+# letter's Fox derivative s_p(g) (row q for letter q), of its power g^p (row
+# 14 + q) and a zero row; the layout below depends only on the generators.
+_RELATORS = ("yxyx", "hxhyx", "hxyhy")
+_LETTERS = "".join(_RELATORS)
+_ZERO_ROW = 2 * len(_LETTERS)
+_XY = [q for q, g in enumerate(_LETTERS) if g != "h"]
+_H = [q for q, g in enumerate(_LETTERS) if g == "h"]
+_XY_ROWS, _H_ROWS = (qs + [len(_LETTERS) + q for q in qs] for qs in (_XY, _H))
+_DIAG = np.arange(3)
+_IS_X = np.array([_LETTERS[q] == "x" for q in _XY] * 2)[:, None]
+# relator r's letter k sits in slot (k, r) of a (_WIDTH, 3) grid; a last
+# row of zero slots pads every relator to the same length
+_WIDTH = max(map(len, _RELATORS)) + 1
+_SLOTS = np.array([[[sum(map(len, _RELATORS[:r])) + k + len(_LETTERS) * power
+                     if k < len(rel) else _ZERO_ROW for r, rel in enumerate(_RELATORS)]
+                    for k in range(_WIDTH)] for power in (0, 1)])
+# D2 block (g, r) sums the products of relator r's g letters in letter
+# order; each term list is padded with the zero product of slot (_WIDTH - 1, 0)
+_BLOCKS = [[3 * k + r for k, h in enumerate(rel) if h == g]
+           for g in "xyh" for r, rel in enumerate(_RELATORS)]
+_BLOCK_TERMS = np.array([b + [3 * (_WIDTH - 1)] * (max(map(len, _BLOCKS)) - len(b))
+                         for b in _BLOCKS]).T
+
+
+def _exponents(T: TorusMonodromy) -> list[int]:
+    """Exponents of the letters of _RELATORS, in order."""
+    return [1, 1, -1, -1, -1, 1, 1, -T.c, -T.a, 1, T.b, T.d, -1, -1]
+
+
+@lru_cache(maxsize=64)
+def _letter_sums(exponents: tuple[int, ...]) -> tuple[np.ndarray, ...]:
+    """(i, j, c) rows for ev, for the x and y letters g^p: row r holds the
+    Fox derivative s_p(g) of the r-th letter (terms g^t for t < p, or
+    -g^-(t+1) for t < -p, as in _geometric) and row len(p) + r the power.
+    Cached, read-only: one-character builds of a bundle share the rows."""
+    p = np.array(exponents, dtype=np.int64)[:, None]
+    t = np.arange(max(1, int(np.abs(p).max())))
+    e = np.concatenate([np.where(p >= 0, t, -1 - t), p * (t == 0)])
+    c = np.concatenate([np.sign(p) * (t < abs(p)), np.broadcast_to(t == 0, p.shape[:1] + t.shape)])
+    out = np.where(_IS_X, e, 0), np.where(_IS_X, 0, e), c
+    for a in out:
+        a.setflags(write=False)
+    return out
+
+
+# A bundle's characters are built in batches of at most this many character
+# terms (characters x the letter terms, or x the connecting word's terms if
+# there are more), so that a long word at a large rank stays bounded in memory
+_BATCH_TERMS = 1 << 18
+
+
+def build_adjoint_complexes(T: TorusMonodromy, chars: list[TorusCharacter],
+                            w: dict[tuple[int, int], int] | None = None) -> list[BasedChainComplex]:
+    """Twisted cellular complexes (3, 9, 9, 3) of the bundle, one per character.
 
     w overrides the connecting chain of the 3-cell; its coefficients must
-    sum to 1, and a choice that breaks d.d = 0 is rejected when the complex
-    is assembled.
+    sum to 1, and a choice that breaks d.d = 0 is rejected when a complex
+    is assembled.  Each relator letter and the connecting word are
+    evaluated once for a whole batch of characters, and every product is
+    the one a single character would take, so each complex is bit-equal to
+    the one built alone.
     """
     _require_supported(T)
     if w is None:
@@ -213,36 +303,57 @@ def build_adjoint_complex(T: TorusMonodromy, chi: TorusCharacter,
         w = dict(w)
         if sum(w.values()) != 1:
             raise ValueError("connecting chain coefficients must sum to 1")
-    ev, H, H_inv = _adjoint_evaluator(T, chi)
+    exps = _exponents(T)
+    letter_sums = _letter_sums(tuple(exps[q] for q in _XY))
+    # each h sum has one term, as every h exponent is +-1: coefficient c
+    # times the antipoded image of h^e
+    h_terms = [_geometric(exps[q])[0] for q in _H] + [(exps[q], 1) for q in _H]
+    h_powers = [e + 1 for e, _ in h_terms]
+    h_coeffs = np.array([c for _, c in h_terms])[:, None, None, None]
+    ij = np.fromiter(chain.from_iterable(w), np.int64, 2 * len(w)).reshape(1, -1, 2)
+    word = ij[..., 0], ij[..., 1], np.fromiter(w.values(), np.int64, len(w)).reshape(1, -1)
     I = np.eye(3, dtype=complex)
-    h_images = {-1: H, 0: I, 1: H_inv}  # antipoded h^k, i.e. rho(h)^-k
 
-    def image(g: str, terms) -> np.ndarray:
-        """Antipoded image of sum c g^e over terms [(e, c), ...]."""
-        if g == "h":
-            return sum((c * h_images[e] for e, c in terms), np.zeros((3, 3), dtype=complex))
-        return ev([(e, 0, c) if g == "x" else (0, e, c) for e, c in terms])
+    def batch_complexes(batch: list[TorusCharacter]) -> list[BasedChainComplex]:
+        n = len(batch)
+        ev, H = _adjoint_evaluator(T, batch)
+        H_inv = H[2]
+        table = np.zeros((_ZERO_ROW + 1, n, 3, 3), dtype=complex)
+        table[_XY_ROWS] = ev(*letter_sums)
+        table[_H_ROWS] = 0.0 + h_coeffs * H[h_powers]   # a sum of one term, from 0
+        # one left-to-right pass per relator yields all three Fox derivatives:
+        # the letter g^p adds prefix * s_p(g) to d/dg, evaluated right to left;
+        # slot axis first, so that each step multiplies contiguous stacks
+        G, P = table[_SLOTS[0]], table[_SLOTS[1]]
+        prefix = np.empty_like(G)
+        prefix[0] = I
+        for k in range(1, _WIDTH):
+            np.matmul(P[k - 1], prefix[k - 1], out=prefix[k])
+        products = (G @ prefix).reshape(-1, n, 3, 3)
+        D2 = np.zeros((9, n, 3, 3), dtype=complex)
+        for terms in _BLOCK_TERMS:
+            D2 = D2 + products[terms]
+        D2 = D2.reshape(3, 3, n, 3, 3).transpose(2, 0, 3, 1, 4).reshape(n, 9, 9)
+        X, Y = table[len(_LETTERS) + 1], table[len(_LETTERS)]   # the powers x^1 and y^1
+        D1 = np.concatenate([X - I, Y - I, H_inv - I], axis=2)
+        D3 = np.concatenate([I - ev(*word)[0] @ H_inv, H_inv @ (I - Y), I - X], axis=1)
+        return [BasedChainComplex((3, 9, 9, 3), bnds) for bnds in zip(D3, D2, D1)]
 
-    relators = [
-        [("y", 1), ("x", 1), ("y", -1), ("x", -1)],
-        [("h", -1), ("x", 1), ("h", 1), ("y", -T.c), ("x", -T.a)],
-        [("h", 1), ("x", T.b), ("y", T.d), ("h", -1), ("y", -1)],
-    ]
-    # one left-to-right pass per relator yields all three Fox derivatives:
-    # the letter g^p adds prefix * s_p(g) to d/dg, evaluated right to left
-    D2 = np.zeros((9, 9), dtype=complex)
-    for col, rel in enumerate(relators):
-        prefix = I
-        for g, p in rel:
-            row = 3 * "xyh".index(g)
-            D2[row:row + 3, 3 * col:3 * col + 3] += image(g, _geometric(p)) @ prefix
-            prefix = image(g, [(p, 1)]) @ prefix
-    X, Y = image("x", [(1, 1)]), image("y", [(1, 1)])
-    D1 = np.hstack([X - I, Y - I, H_inv - I])
-    D3 = np.vstack([I - ev([(i, j, c) for (i, j), c in w.items()]) @ H_inv,
-                    H_inv @ (I - Y),
-                    I - X])
-    return BasedChainComplex((3, 9, 9, 3), (D3, D2, D1))
+    # reducible characters first, as _adjoint_evaluator takes them
+    order = sorted(range(len(chars)), key=lambda q: chars[q].kind == "irreducible")
+    size = max(1, _BATCH_TERMS // max(letter_sums[2].size, len(w)))
+    out: list[BasedChainComplex | None] = [None] * len(chars)
+    for start in range(0, len(order), size):
+        part = order[start:start + size]
+        for q, C in zip(part, batch_complexes([chars[q] for q in part])):
+            out[q] = C
+    return out
+
+
+def build_adjoint_complex(T: TorusMonodromy, chi: TorusCharacter,
+                          w: dict[tuple[int, int], int] | None = None) -> BasedChainComplex:
+    """The complex of build_adjoint_complexes at one character."""
+    return build_adjoint_complexes(T, [chi], w)[0]
 
 
 def central_reps(T: TorusMonodromy) -> list[CentralRep]:

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 import one_shot_oracle
 from kauffman_closed_forms import quantum_integer, su2_twists, tlj_twists, total_dim
+from mtcforge import catalog
 from mtcforge.algebra import BAND_ROWS, RationalPhase
 from mtcforge.catalog import (
     ModularData,
@@ -415,6 +416,30 @@ class TestSourceBackedS:
             with pytest.raises(ValueError, match=match):
                 graded_product(X, su2_level(0))
         assert not is_stored(graded_product(regraded(D, D.s_tilde), su2_level(0)).validate())
+
+    def test_symmetry_residual_only_for_asymmetric_factors(self, monkeypatch):
+        # exactly symmetric factors make S^T's bands equal to S's, so validate
+        # builds none of them; one asymmetric factor, on either side of a
+        # product above BAND_ROWS labels, still fails the residual test
+        built = []
+        rows = catalog._ProductS.rows
+
+        def recording(self, band, transpose=False):
+            built.append(transpose)
+            return rows(self, band, transpose)
+
+        monkeypatch.setattr(catalog._ProductS, "rows", recording)
+        D = soN2_adjoint(4 * BAND_ROWS - 1, 5)
+        P = graded_product(regraded(D, D.s_tilde), su2_level(0))
+        assert P.rank > BAND_ROWS and P._s_source.symmetric
+        assert built and not any(built)
+        S = D.s_tilde.copy()
+        S[2, 1] += 1e-3
+        for factors in ((regraded(D, S), su2_level(0)), (su2_level(0), regraded(D, S))):
+            built.clear()
+            with pytest.raises(ValueError, match="S-matrix not symmetric"):
+                graded_product(*factors)
+            assert any(built)
 
 
 class TestVerlinde:

@@ -27,7 +27,7 @@ from mtcforge.cli import (
 )
 from mtcforge.pipeline import certify, sfs_candidate
 from mtcforge.seifert import make_sfs
-from mtcforge.torus_bundle import connecting_word
+from mtcforge.torus_bundle import build_adjoint_complexes, connecting_word
 
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -273,6 +273,27 @@ class TestTorusCommand:
         obj = json.loads(out)
         assert len(obj["oracle"]) == obj["rank"] > 1
         assert len(calls) == 1
+
+    def test_oracle_builds_complexes_in_one_batched_call(self, monkeypatch):
+        calls = []
+
+        def counting(T, chars, w=None):
+            calls.append(len(chars))
+            return build_adjoint_complexes(T, chars, w)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("per-character builder called")
+
+        monkeypatch.setattr(cli, "build_adjoint_complexes", counting)
+        monkeypatch.setattr(torus_bundle, "build_adjoint_complex", refuse)
+        for mono in ("-10,9,-19,17", "2,1,1,1"):
+            calls.clear()
+            code, out, _ = run_cli(["torus", f"--monodromy={mono}", "--oracle", "--format", "json"])
+            assert code == 0
+            assert calls == [json.loads(out)["rank"]]
+        calls.clear()
+        assert run_cli(["torus", "--monodromy=2,1,1,1", "--format", "json"])[0] == 0
+        assert calls == []
 
 
 class TestVerifyCommand:

@@ -6,8 +6,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mtcforge.torsion_engine import BasedChainComplex, chain_torsion
-from mtcforge.torus_bundle import build_adjoint_complex, enumerate_torus_characters, make_torus_bundle
+from mtcforge.algebra import DEFAULT_TOL
+from mtcforge.suites import supported_monodromies
+from mtcforge.torsion_engine import BasedChainComplex, _pivot_columns, chain_torsion
+from mtcforge.torus_bundle import (
+    build_adjoint_complex,
+    build_adjoint_complexes,
+    enumerate_torus_characters,
+    make_torus_bundle,
+)
 
 
 def doubling_complex():
@@ -196,6 +203,66 @@ class TestMultiplicativity:
         sub = doubling_complex()
         with pytest.raises(ValueError):
             multiplicativity_check(sub, sub, sub)
+
+
+def qr_rule_pivots(M):
+    """The pivot rule by scipy.linalg.qr, Q and all: the pivots whose
+    |R[i, i]| exceed DEFAULT_TOL times the largest column norm."""
+    import scipy.linalg as sla
+    if M.size == 0:
+        return []
+    top = np.linalg.norm(M, axis=0).max()
+    if top == 0.0:
+        return []
+    _, R, perm = sla.qr(M, mode="economic", pivoting=True)
+    rank = int((np.abs(np.diag(R)) > DEFAULT_TOL * top).sum())
+    return [int(c) for c in perm[:rank]]
+
+
+class TestPivotColumns:
+    """_pivot_columns calls LAPACK zgeqp3 directly on the complex boundary
+    matrices of a BasedChainComplex; it must pick the columns and the rank
+    that the scipy.linalg.qr rule picks."""
+
+    def test_matches_qr_rule_on_torus_complexes(self):
+        for mono in supported_monodromies(13):
+            T = make_torus_bundle(*mono)
+            for C in build_adjoint_complexes(T, enumerate_torus_characters(T)):
+                for M in C.boundaries:
+                    assert _pivot_columns(M) == qr_rule_pivots(M), mono
+
+    def test_matches_qr_rule_when_rank_deficient(self):
+        rng = np.random.default_rng(5)
+        A = rng.standard_normal((6, 4)) + 1j * rng.standard_normal((6, 4))
+        zero_column = A.copy()
+        zero_column[:, 2] = 0.0
+        repeated = np.hstack([A, A[:, :2]])             # rank 4 of 6 columns
+        low_rank = A[:, :2] @ rng.standard_normal((2, 5))  # rank 2, real right factor
+        cases = [zero_column, np.zeros((4, 3), dtype=complex), repeated, low_rank,
+                 A.real + 0j, np.zeros((3, 0), dtype=complex), np.array([[0j]]), np.array([[2 + 0j]])]
+        for M in cases:
+            assert _pivot_columns(M) == qr_rule_pivots(M), M.shape
+        assert len(_pivot_columns(zero_column)) == 3 and 2 not in _pivot_columns(zero_column)
+        assert _pivot_columns(np.zeros((4, 3), dtype=complex)) == []
+        assert len(_pivot_columns(repeated)) == 4 and len(_pivot_columns(low_rank)) == 2
+
+    def test_matches_qr_rule_on_non_acyclic_complexes(self):
+        # the non-acyclic complexes above: a zero map, and a torus complex
+        # whose top boundary is cut to rank 2
+        T = make_torus_bundle(2, 1, 1, 1)
+        C = build_adjoint_complex(T, enumerate_torus_characters(T)[2])
+        D3 = C.boundaries[0].copy()
+        D3[:, 2] = 0.0
+        for M in [np.array([[0j]]), D3, C.boundaries[1], C.boundaries[2]]:
+            assert _pivot_columns(M) == qr_rule_pivots(M)
+        res = chain_torsion(BasedChainComplex(C.dims, (D3,) + C.boundaries[1:]))
+        assert not res.acyclic and res.per_degree_ranks[2] == 2
+
+    def test_input_left_unchanged(self):
+        M = np.asfortranarray(np.arange(12.0).reshape(3, 4) + 1j)
+        before = M.copy()
+        _pivot_columns(M)
+        assert np.array_equal(M, before)
 
 
 def test_package_import_leaves_scipy_unloaded():

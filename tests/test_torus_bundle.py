@@ -3,11 +3,15 @@ import math
 import numpy as np
 import pytest
 
+import adjoint_complex_oracle as oracle
+from adjoint_complex_oracle import _adjoint_evaluator
+from mtcforge import torus_bundle
+from mtcforge.suites import supported_monodromies
 from mtcforge.torsion_engine import BasedChainComplex, chain_torsion
 from mtcforge.torus_bundle import (
-    _adjoint_evaluator,
     _cs_residues,
     build_adjoint_complex,
+    build_adjoint_complexes,
     central_reps,
     connecting_word,
     enumerate_torus_characters,
@@ -197,6 +201,92 @@ class TestAdjointComplex:
                 assert abs(abs(np.linalg.det(G)) - 1) < 1e-9
                 moved = BasedChainComplex(C.dims, (C.boundaries[0] @ G,) + C.boundaries[1:])
                 assert chain_torsion(moved).value == pytest.approx(base, rel=1e-9)
+
+
+def same_bits(A: BasedChainComplex, B: BasedChainComplex) -> bool:
+    """Equal dims and boundaries equal byte for byte, signed zeros included."""
+    return A.dims == B.dims and all(a.tobytes() == b.tobytes()
+                                    for a, b in zip(A.boundaries, B.boundaries))
+
+
+class TestBatchedComplexes:
+    """build_adjoint_complexes evaluates each letter and the connecting word
+    once for all characters of a bundle; the per-character builder it
+    replaced (tests/adjoint_complex_oracle.py) is the bit-equality oracle."""
+
+    def test_matches_per_character_oracle_bit_for_bit(self):
+        monos = supported_monodromies(13)
+        assert len(monos) == 268
+        for mono in monos:
+            T = make_torus_bundle(*mono)
+            chars = enumerate_torus_characters(T)
+            for chi, C in zip(chars, build_adjoint_complexes(T, chars)):
+                want = oracle.build_adjoint_complex(T, chi)
+                assert all(np.array_equal(a, b) for a, b in zip(C.boundaries, want.boundaries))
+                assert same_bits(C, want), (mono, chi.label())
+                assert chain_torsion(C).value == chain_torsion(want).value, (mono, chi.label())
+
+    def test_evaluator_images_match_oracle_bit_for_bit(self):
+        # one sum per row, padded with zero terms; the one-term sums at the
+        # identity have signed zeros that Python's sum from 0 makes +0.0
+        sums = [[(0, 0, 1)], [(0, 0, -1)], [(1, 0, 1)], [],
+                [(2, -3, 5), (-4, 1, -2), (0, 0, 7), (3, 3, 1)]]
+        i, j, c = np.zeros((3, len(sums), max(map(len, sums))), dtype=np.int64)
+        for row, terms in enumerate(sums):
+            for t, (a, b, k) in enumerate(terms):
+                i[row, t], j[row, t], c[row, t] = a, b, k
+        for mono in [(2, 1, 1, 1), (4, 1, 3, 1), (-10, 9, -19, 17)]:
+            T = make_torus_bundle(*mono)
+            chars = enumerate_torus_characters(T)   # reducible first
+            ev, H = torus_bundle._adjoint_evaluator(T, chars)
+            E = ev(i, j, c)
+            for q, chi in enumerate(chars):
+                ev1, H1, H1_inv = _adjoint_evaluator(T, chi)
+                assert H[0, q].tobytes() == H1.tobytes() and H[2, q].tobytes() == H1_inv.tobytes()
+                for row, terms in enumerate(sums):
+                    assert E[row, q].tobytes() == ev1(terms).tobytes(), (mono, chi.label(), terms)
+
+    def test_independent_of_batch_and_order(self, monkeypatch):
+        T = make_torus_bundle(-10, 9, -19, 17)
+        chars = enumerate_torus_characters(T)
+        alone = [build_adjoint_complex(T, chi) for chi in chars]
+        # irreducible characters listed first, then one character per batch
+        shuffled = chars[::-1]
+        for C, want in zip(build_adjoint_complexes(T, shuffled), alone[::-1]):
+            assert same_bits(C, want)
+        monkeypatch.setattr(torus_bundle, "_BATCH_TERMS", 1)
+        for C, want in zip(build_adjoint_complexes(T, chars), alone):
+            assert same_bits(C, want)
+        assert build_adjoint_complexes(T, []) == []
+
+    def test_zero_exponent_and_long_letters(self):
+        # a = 0 gives an empty Fox derivative x^0; a = 100 a 100-term letter
+        # and a connecting word of 18,201 terms
+        for mono in [(0, 1, -1, 5), (100, -1, 9101, -91)]:
+            T = make_torus_bundle(*mono)
+            chars = enumerate_torus_characters(T)
+            for chi, C in zip(chars, build_adjoint_complexes(T, chars)):
+                assert same_bits(C, oracle.build_adjoint_complex(T, chi)), (mono, chi.label())
+
+    def test_reducible_pair_is_bit_identical(self):
+        # H reads v only through v^2, and the adjoint representation kills
+        # the central sign on h, so rho+ and rho- give one complex; the
+        # oracle evaluates both all the same
+        for mono in supported_monodromies(13):
+            T = make_torus_bundle(*mono)
+            plus, minus = build_adjoint_complexes(T, enumerate_torus_characters(T)[:2])
+            assert same_bits(plus, minus), mono
+            assert chain_torsion(plus).value == chain_torsion(minus).value
+
+    def test_override_checks_hold_for_every_batch(self):
+        T = make_torus_bundle(2, 1, 1, 1)
+        chars = enumerate_torus_characters(T)
+        with pytest.raises(ValueError, match="sum to 1"):
+            build_adjoint_complexes(T, chars, w={(0, 0): 2})
+        with pytest.raises(ValueError, match="d.d != 0"):
+            build_adjoint_complexes(T, chars, w={(0, 0): 1})
+        with pytest.raises(ValueError, match="open case"):
+            build_adjoint_complexes(make_torus_bundle(3, 1, 2, 1), [])
 
 
 class TestCentralStructure:
