@@ -9,7 +9,7 @@ across its S and T matrices.
 
 import numpy as np
 
-from mtcforge import find_transparent, graded_product, su2_level, verlinde_fusion
+from mtcforge import find_transparent, graded_product, s_det_modulus, su2_level, verlinde_fusion
 from mtcforge.catalog import fusion_defects
 
 np.set_printoptions(precision=6, suppress=True, linewidth=120)
@@ -46,4 +46,4 @@ print("\na same-parity product keeps a transparent label:")
 D2 = graded_product(su2_level(2), su2_level(4))
 rep = find_transparent(D2)
 print(f"levels (2,4): transparent = {list(rep.transparent_labels)}, "
-      f"|det(S/D)| = {rep.s_det_modulus:.3e}")
+      f"|det(S/D)| = {s_det_modulus(D2):.3e}")

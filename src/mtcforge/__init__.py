@@ -17,6 +17,7 @@ from .catalog import (
     ModularityReport,
     find_transparent,
     graded_product,
+    s_det_modulus,
     soN2_adjoint,
     su2_level,
     tlj_data,

@@ -19,12 +19,16 @@ from math import gcd
 import numpy as np
 
 DEFAULT_TOL = 1e-9
-# Rows per band of the rank^2 S builders and checks, which make no temporary
+# Rows per band of every rank^2 S build and check, which makes no temporary
 # larger than one band: a band of a rank-1440 float64 matrix is 1.5 MB and
-# stays in a 2 MB L2 cache.  A matrix of at most BAND_ROWS rows is built and
-# checked in one piece: the band loop's fixed cost, a few microseconds a call,
-# made the small-rank Seifert sweep about 5 % slower.  A constant, not a setting.
+# stays in a 2 MB L2 cache.  A constant, not a setting.
 BAND_ROWS = 128
+
+
+def row_bands(n: int) -> list[slice]:
+    """The row bands of an n-row matrix, BAND_ROWS rows each but a shorter
+    last one; at most BAND_ROWS rows are one band."""
+    return [slice(i, i + BAND_ROWS) for i in range(0, n, BAND_ROWS)]
 
 
 def comparison_tolerance() -> float:

@@ -5,12 +5,15 @@ rank-(r+2) integral subcategories attached to odd orthogonal groups at level
 two, graded products, and the structural checks (transparency, modularity,
 Verlinde fusion) used to certify candidate data.
 
-A graded product above `algebra.BAND_ROWS` labels does not store its S: it
-keeps the factor tables gathered onto its columns, and `ModularData.s_band`
-builds S, or S^T, one band of rows at a time.  Its `validate` and a
-`certify` against it read only such bands, so a certified `sfs` run holds
-one rank^2 matrix, the candidate's.  Reading `s_tilde` builds and keeps the
-full matrix, bit-equal to the one-shot product.
+Every rank^2 pass here reads S through `ModularData.s_band`, one band of
+`algebra.row_bands` at a time.  A graded product above `algebra.BAND_ROWS`
+labels does not store its S: it keeps the factor tables gathered onto its
+columns, and `s_band` builds S, or S^T, band by band.  Its `validate`, its
+transparency test and a `certify` against it read only such bands, so a
+certified `sfs` run holds one rank^2 matrix, the candidate's.  Reading
+`s_tilde` builds and keeps the full matrix, bit-equal to the one-shot
+product.  `s_det_modulus` reads it: the determinant is a report figure,
+not part of the transparency test.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from math import gcd
 
 import numpy as np
 
-from .algebra import BAND_ROWS, RationalPhase, comparison_tolerance, phase_sin
+from .algebra import BAND_ROWS, RationalPhase, comparison_tolerance, phase_sin, row_bands
 
 
 @dataclass(frozen=True, eq=False)
@@ -99,15 +102,14 @@ class ModularData:
 
     def validate(self, require_dim_sum: bool = True) -> "ModularData":
         """Check shapes, finiteness, symmetry, the unit row and twist; return
-        self.  S is read through `s_band` in bands of BAND_ROWS rows: each
+        self.  S is read through `s_band` in the bands of `row_bands`: each
         band gives the scale, and the symmetry residual |S[i, j] - S[j, i]|
         on and above the diagonal is taken against the same rows of S^T, so
         no temporary is larger than one band and a source-backed S is never
-        stored.  Up to BAND_ROWS labels that is one piece.  A graded product
-        whose factors are both exactly symmetric (the np.array_equal(S, S.T)
-        test its source makes on each factor) has bands of S^T equal to
-        those of S bit for bit; for it that exact test is the symmetry
-        check, and the residual pass is skipped."""
+        stored.  A graded product whose factors are both exactly symmetric
+        (the np.array_equal(S, S.T) test its source makes on each factor)
+        has bands of S^T equal to those of S bit for bit; for it that exact
+        test is the symmetry check, and the residual pass is skipped."""
         tol = comparison_tolerance()
         r = self.rank
         S = self.__dict__.get("s_tilde", self.__dict__.get("_s_source"))
@@ -120,14 +122,13 @@ class ModularData:
         # residual, which Python's max may drop, needs a non-finite entry, so
         # the scale check below raises first
         scale, asym = 1.0, 0.0
-        for i in range(0, r, BAND_ROWS):
-            rows = slice(i, i + BAND_ROWS)
+        bands = row_bands(r)
+        for k, rows in enumerate(bands):
             A = self.s_band(rows)
             scale = np.maximum(scale, np.abs(A).max())
             if not symmetric:
                 AT = self.s_band(rows, transpose=True)
-                for j in range(i, r, BAND_ROWS):
-                    cols = slice(j, j + BAND_ROWS)
+                for cols in bands[k:]:
                     asym = max(asym, np.abs(A[:, cols] - AT[:, cols]).max())
                 del AT
             del A   # a built band is freed before the next one is built
@@ -160,7 +161,6 @@ class ModularData:
 class ModularityReport:
     is_modular: bool
     transparent_labels: tuple[str, ...]
-    s_det_modulus: float
 
 
 def _reduced(residues: np.ndarray, den: int) -> tuple[np.ndarray, int]:
@@ -232,9 +232,8 @@ def soN2_adjoint(N: int, m: int) -> ModularData:
     S = np.full((r + 2, r + 2), 2.0)
     S[:2, :2] = 1.0
     # in bands, so that the int64 index table is never larger than one band
-    for start in range(0, r, BAND_ROWS):
-        kb = ks[start:start + BAND_ROWS]
-        S[2 + start:2 + start + BAND_ROWS, 2:] = four_cos[m * (np.outer(kb, ks) % N) % N]
+    for rows in row_bands(r):
+        S[2:, 2:][rows] = four_cos[m * (np.outer(ks[rows], ks) % N) % N]
     return ModularData(labels, d, twists, S, 2.0 * N).validate()
 
 
@@ -256,7 +255,9 @@ def graded_product(X: ModularData, Y: ModularData) -> ModularData:
     twists = (X.twist_residues[ii] * (L // X.twist_den)
               + Y.twist_residues[jj] * (L // Y.twist_den)) % L
     # S[a, b] = X[ii[a], ii[b]] * Y[jj[a], jj[b]]; above BAND_ROWS labels it
-    # is not stored but built band by band where it is read
+    # is not stored but built band by band where it is read.  Up to that size
+    # it is stored: rebuilding the bands of the Seifert sweep's small
+    # products on every read made the sweep body about 9 % slower
     if len(ii) <= BAND_ROWS:
         S = X.s_tilde.take(ii, 1).take(ii, 0) * Y.s_tilde.take(jj, 1).take(jj, 0)
     else:
@@ -288,8 +289,8 @@ class _ProductS:
         self.shape = (len(ii), len(ii))
         # ModularData's dtype contract: complex only when some imaginary part is nonzero
         self.dtype = np.result_type(Xc, Yc)
-        if self.dtype == complex and not any(self.rows(slice(i, i + BAND_ROWS)).imag.any()
-                                             for i in range(0, len(ii), BAND_ROWS)):
+        if self.dtype == complex and not any(self.rows(rows).imag.any()
+                                             for rows in row_bands(len(ii))):
             self.dtype = np.dtype(float)
 
     def rows(self, rows: slice, transpose: bool = False) -> np.ndarray:
@@ -301,39 +302,34 @@ class _ProductS:
 
     def build(self) -> np.ndarray:
         S = np.empty(self.shape, self.dtype)
-        for start in range(0, len(S), BAND_ROWS):
-            rows = slice(start, start + BAND_ROWS)
+        for rows in row_bands(len(S)):
             S[rows] = self.rows(rows)
         return S
 
 
 def find_transparent(D: ModularData) -> ModularityReport:
-    """Labels whose S-row is proportional to the dimension row.
-
-    The data are modular exactly when only the unit qualifies; the reported
-    determinant modulus is |det(S/D_total)|, which is bounded away from zero
-    for modular data and vanishes for degenerate data.
-    """
+    """Labels whose S-row is proportional to the dimension row; the data are
+    modular exactly when only the unit qualifies.  S is read through
+    `s_band`, so a source-backed S is never stored."""
     tol = comparison_tolerance()
-    S = D.s_tilde
-    coeff = S[:, 0] / D.dims[0]
-    if D.rank <= BAND_ROWS:
-        dev, scale = np.abs(S - coeff[:, None] * D.dims).max(axis=1), np.abs(S).max()
-    else:   # band by band; np.maximum carries NaN into the scale
-        dev, scale = np.empty(D.rank), 0.0
-        for start in range(0, D.rank, BAND_ROWS):
-            rows = slice(start, start + BAND_ROWS)
-            scale = np.maximum(scale, np.abs(S[rows]).max())
-            dev[rows] = np.abs(S[rows] - coeff[rows, None] * D.dims).max(axis=1)
-    rows = dev <= tol * max(scale, 1.0)
-    transparent = [D.labels[i] for i in np.flatnonzero(rows)]
+    dev, scale = np.empty(D.rank), 0.0
+    for rows in row_bands(D.rank):
+        A = D.s_band(rows)
+        # np.maximum, unlike Python's max, carries NaN into the scale
+        scale = np.maximum(scale, np.abs(A).max())
+        dev[rows] = np.abs(A - A[:, :1] / D.dims[0] * D.dims).max(axis=1)
+    transparent = [D.labels[i] for i in np.flatnonzero(dev <= tol * max(scale, 1.0))]
+    return ModularityReport(transparent == [D.labels[0]], tuple(transparent))
+
+
+def s_det_modulus(D: ModularData) -> float:
+    """|det(S/D_total)|: bounded away from zero for modular data, zero for
+    degenerate data.  A report figure; it reads, and so stores, all of S."""
     # complex, as the golden outputs were written: a real LU rounds differently
-    sign, logabs = np.linalg.slogdet(S.astype(complex))
+    sign, logabs = np.linalg.slogdet(D.s_tilde.astype(complex))
     if sign == 0:
-        det_mod = 0.0
-    else:
-        det_mod = math.exp(logabs - D.rank * 0.5 * math.log(D.total_dim_sq))
-    return ModularityReport(transparent == [D.labels[0]], tuple(transparent), det_mod)
+        return 0.0
+    return math.exp(logabs - D.rank * 0.5 * math.log(D.total_dim_sq))
 
 
 def verlinde_fusion(D: ModularData) -> np.ndarray:

@@ -21,6 +21,7 @@ from .catalog import (
     ModularData,
     find_transparent,
     graded_product,
+    s_det_modulus,
     soN2_adjoint,
     su2_level,
     tlj_data,
@@ -106,16 +107,6 @@ def _fractions(residues: np.ndarray, den: int) -> list[str]:
     return [f"{n}/{d}" for n, d in zip((residues // g).tolist(), (den // g).tolist())]
 
 
-def _json_default(obj):
-    if isinstance(obj, (np.bool_,)):
-        return bool(obj)
-    if isinstance(obj, np.integer):
-        return int(obj)
-    if isinstance(obj, np.floating):
-        return float(obj)
-    raise TypeError(f"not JSON serializable: {type(obj)}")
-
-
 def _candidate_report(C, reference, cert, extra) -> dict:
     adm = admissibility_report(C)
     rep = find_transparent(C.data)
@@ -141,7 +132,7 @@ def _candidate_report(C, reference, cert, extra) -> dict:
             "check": "transparent labels are rows proportional to the dims row",
             "is_modular": rep.is_modular,
             "transparent_labels": list(rep.transparent_labels),
-            "s_det_modulus": rep.s_det_modulus,
+            "s_det_modulus": s_det_modulus(C.data),
         },
         "certification": {
             "check": "entrywise match against the independent catalog data",
@@ -162,8 +153,7 @@ def _emit(C, reference, cert, extra: dict, fmt: str, stream) -> None:
     report, csv and pretty read the candidate directly, and csv prints only
     the per-label table, with its fractions taken from the residue arrays."""
     if fmt == "json":
-        json.dump(_candidate_report(C, reference, cert, extra), stream, indent=2,
-                  default=_json_default)
+        json.dump(_candidate_report(C, reference, cert, extra), stream, indent=2)
         stream.write("\n")
         return
     D = C.data
@@ -307,7 +297,7 @@ def cmd_verify(args) -> int:
                 for r in results
             ],
         }
-        json.dump(payload, sys.stdout, indent=2, default=_json_default)
+        json.dump(payload, sys.stdout, indent=2)
         print()
     else:
         for r in results:

@@ -14,14 +14,13 @@ over the three fibers of a Seifert space (each weight table at fiber size,
 gathered onto the labels) or over a single factor for a torus bundle and
 for the reseated unit.
 
-Above `algebra.BAND_ROWS` labels, every rank^2 pass here (the S build, the
-torus weight table and the `certify` comparison) works in row bands of
-BAND_ROWS rows written into or read from the final arrays, so that no
-temporary is larger than one band.  Smaller matrices are handled in one
-piece.  `certify` reads both S-matrices through `ModularData.s_band`, so a
-graded-product reference, which stores no S above BAND_ROWS labels, is
-checked band by band and a certified `sfs` run holds one S-matrix, the
-candidate's.
+Every rank^2 pass here (the S build, the torus weight table and the
+`certify` comparison) works in the row bands of `algebra.row_bands`, written
+into or read from the final arrays, so that no temporary is larger than one
+band.  `certify` reads both S-matrices through `ModularData.s_band`, so a
+graded-product reference, which stores no S above `algebra.BAND_ROWS`
+labels, is checked band by band and a certified `sfs` run holds one
+S-matrix, the candidate's.
 """
 
 from __future__ import annotations
@@ -29,17 +28,17 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from functools import cached_property, reduce
+from functools import cached_property
 
 import numpy as np
 
 from . import seifert, torus_bundle
 from .algebra import (
-    BAND_ROWS,
     RationalPhase,
     chebyshev_table,
     comparison_tolerance,
     phase_cos,
+    row_bands,
 )
 from .catalog import ModularData
 from .seifert import SeifertData
@@ -84,20 +83,15 @@ def _s_matrix(factors) -> np.ndarray:
     W_f[beta, alpha] at the factor's own size, and the map J_f from candidate
     labels to factor labels (None for the identity, only for a single
     factor).  A fiber's product W_f^T * W_f[0, :] is formed at fiber size and
-    gathered onto the labels band by band: above BAND_ROWS labels S is
-    written in bands of BAND_ROWS rows, so no temporary is larger than one
-    band, and each entry is the same product in the same factor order as
-    the one-shot gather used below that size.
+    gathered onto the labels band by band, written straight into S, so no
+    temporary is larger than one band; each entry is the same product in
+    the same factor order as a one-shot gather.
     """
     tables = [(W, J) if J is None else (W.T * W[0, :], J) for W, J in factors]
     T0, J0 = tables[0]
     rank = len(T0) if J0 is None else len(J0)
-    if rank <= BAND_ROWS:
-        return reduce(np.multiply, [T.T * T[0, :] if J is None else T.take(J, 0).take(J, 1)
-                                    for T, J in tables])
     S = np.empty((rank, rank), dtype=np.result_type(*(T for T, _ in tables)))
-    for start in range(0, rank, BAND_ROWS):
-        rows = slice(start, start + BAND_ROWS)
+    for rows in row_bands(rank):
         band = S[rows]
         for k, (T, J) in enumerate(tables):
             if J is None:
@@ -199,9 +193,8 @@ def torus_candidate(T: TorusMonodromy) -> CandidateData:
     W[:, :2] = 1.0
     W[:2, 2:] = 2.0
     # in bands, so that the int64 index table is never larger than one band
-    for start in range(0, T.r, BAND_ROWS):
-        kb = k[start:start + BAND_ROWS]
-        W[2 + start:2 + start + BAND_ROWS, 2:] = trace[T.m * (np.outer(kb, k) % T.N) % T.N]
+    for rows in row_bands(T.r):
+        W[2:, 2:][rows] = trace[T.m * (np.outer(k[rows], k) % T.N) % T.N]
     S = _s_matrix([(W, None)])
     actions = tuple(torus_bundle.central_reps(T))
     return _assemble(T.tag(), T, None, labels, torus_bundle._cs_residues(T), tors, S, None,
@@ -281,14 +274,13 @@ def certify(C: CandidateData, D: ModularData) -> Certificate:
     tol = comparison_tolerance()
     if C.rank != D.rank:
         raise ValueError(f"rank mismatch: candidate {C.rank}, reference {D.rank}")
-    # band by band, one piece up to BAND_ROWS labels; a reference whose S is
-    # not stored builds each band here.  np.maximum, unlike Python's max,
-    # carries NaN through
-    for start in range(0, C.rank, BAND_ROWS):
-        rows = slice(start, start + BAND_ROWS)
+    # band by band; a reference whose S is not stored builds each band here.
+    # np.maximum, unlike Python's max, carries NaN through
+    ds = scale = 0.0
+    for rows in row_bands(C.rank):
         R = D.s_band(rows)
-        band = np.abs(C.data.s_band(rows) - R).max(), np.abs(R).max()
-        ds, scale = band if start == 0 else np.maximum((ds, scale), band)
+        ds, scale = np.maximum((ds, scale), (np.abs(C.data.s_band(rows) - R).max(),
+                                             np.abs(R).max()))
     ds = float(ds)
     # a / d == b / e exactly when a e == b d; both products stay below d e < 2^62
     tw = not (C.data.twist_residues * D.twist_den - D.twist_residues * C.data.twist_den).any()

@@ -39,3 +39,12 @@ def torus_weights(T, trace):
     W[:2, 2:] = 2.0
     W[2:, 2:] = trace[T.m * (np.outer(k, k) % T.N) % T.N]
     return W
+
+
+def transparent_labels(D, tol=1e-9):
+    """catalog.find_transparent's row test on the whole S at once: the labels
+    whose row is within tol * max(|S|max, 1) of S[i, 0] / dims[0] * dims."""
+    S = D.s_tilde
+    coeff = S[:, 0] / D.dims[0]
+    dev = np.abs(S - coeff[:, None] * D.dims).max(axis=1)
+    return tuple(D.labels[i] for i in np.flatnonzero(dev <= tol * max(np.abs(S).max(), 1.0)))

@@ -10,13 +10,23 @@ from hypothesis import strategies as st
 
 from loop_operator_oracle import chebyshev
 from mtcforge.algebra import (
+    BAND_ROWS,
     RationalPhase,
     central_reps_mod2,
     chebyshev_table,
     parity_exp_sum,
     parity_exp_sum_closed,
     parity_exp_sum_table,
+    row_bands,
 )
+
+
+def test_row_bands_cover_each_row_once():
+    for n in (0, 1, BAND_ROWS - 1, BAND_ROWS, BAND_ROWS + 1, 2 * BAND_ROWS + 1):
+        bands = [range(n)[b] for b in row_bands(n)]
+        assert [i for b in bands for i in b] == list(range(n))
+        assert len(bands) == -(-n // BAND_ROWS)
+        assert all(len(b) == BAND_ROWS for b in bands[:-1])
 
 
 class TestChebyshev:

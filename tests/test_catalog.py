@@ -182,6 +182,65 @@ class TestFindTransparent:
             seen.add(rep.is_modular)
         assert seen == {True, False}
 
+    @staticmethod
+    def near_threshold(rank, dtype):
+        """Unvalidated data whose rows are proportional to the dims row, some
+        pushed off by half, once and one and a half times the tolerance,
+        some replaced by noise, in every band."""
+        rng = np.random.default_rng(rank)
+        dims = np.append(1.0, rng.uniform(0.5, 2.0, rank - 1))
+        S = np.outer(rng.uniform(-2.0, 2.0, rank), dims).astype(dtype)
+        S[0] = dims
+        if dtype == complex:
+            S[1:] *= np.exp(1j * rng.uniform(0.0, 2 * math.pi, (rank - 1, 1)))
+        scale = max(np.abs(S).max(), 1.0)
+        for n, i in enumerate(range(1, rank, 3)):
+            S[i, 1 + i % (rank - 1)] += (0.5, 1.0, 1.5)[n % 3] * 1e-9 * scale
+        S[2::7] = rng.uniform(-2.0, 2.0, S[2::7].shape)
+        labels = tuple(str(i) for i in range(rank))
+        return ModularData(labels, dims, (np.zeros(rank, dtype=np.int64), 1), S, float(rank))
+
+    @pytest.mark.parametrize("rank", [1, BAND_ROWS - 1, BAND_ROWS, BAND_ROWS + 1,
+                                      2 * BAND_ROWS + 1])
+    def test_matches_one_shot(self, rank):
+        # the same labels as the whole-matrix formula, the rows at the
+        # threshold included, and none once a NaN sits in the last band
+        for dtype in (float, complex):
+            D = self.near_threshold(rank, dtype)
+            S = D.s_tilde.copy()
+            S[-1, rank // 2] = math.nan
+            with_nan = ModularData(D.labels, D.dims, (D.twist_residues, 1), S, D.total_dim_sq)
+            for E in (D, with_nan):
+                want = one_shot_oracle.transparent_labels(E)
+                assert find_transparent(E) == catalog.ModularityReport(want == ("0",), want)
+            assert find_transparent(with_nan).transparent_labels == ()
+            assert rank < 4 or 0 < len(find_transparent(D).transparent_labels) < rank
+
+    def test_no_determinant(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("slogdet called")
+
+        monkeypatch.setattr(np.linalg, "slogdet", refuse)
+        for D in (su2_level(3), graded_product(su2_level(2), su2_level(4)),
+                  soN2_adjoint(4 * BAND_ROWS - 1, 5)):
+            find_transparent(D)
+        with pytest.raises(AssertionError, match="slogdet"):
+            catalog.s_det_modulus(su2_level(3))
+
+    def test_source_backed_s_stays_unstored(self):
+        D = graded_product(tlj_data(phase(1, 84)), tlj_data(phase(1, 76)))
+        assert D.rank > BAND_ROWS and not is_stored(D)
+        rep = find_transparent(D)
+        assert not is_stored(D)
+        assert rep.transparent_labels == one_shot_oracle.transparent_labels(D)
+
+    def test_s_det_modulus(self):
+        # S / D is unitary for a unitary modular category; a transparent
+        # label other than the unit repeats the unit's row
+        for k in range(6):
+            assert catalog.s_det_modulus(su2_level(k)) == pytest.approx(1.0, rel=1e-9)
+        assert catalog.s_det_modulus(soN2_adjoint(7, 3)) < 1e-9
+
 
 class TestSU2Level:
     def test_level_zero_trivial(self):

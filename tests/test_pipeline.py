@@ -253,9 +253,8 @@ class TestAdmissibility:
 
 
 class TestBandedS:
-    """The S builders against the one-shot formulas, bit for bit: in one
-    piece up to BAND_ROWS labels, and in bands above, with a partial last
-    band."""
+    """The S builders against the one-shot formulas, bit for bit, in one
+    band, in full bands, and with a partial last band."""
 
     @pytest.fixture
     def factors_of(self, monkeypatch):
