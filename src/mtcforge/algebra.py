@@ -14,6 +14,7 @@ import math
 import os
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd
 
 import numpy as np
@@ -180,19 +181,30 @@ class CentralRep:
         return not self.is_bosonic and not (2 * self.cs_diffs % self.cs_den).any()
 
 
+# a Seifert space's relations depend on the parities of its (p, q) pairs only
+@lru_cache(maxsize=256)
+def _kernel_mod2(relations: bytes, w: int) -> tuple[tuple[int, ...], ...]:
+    """The F_2 solutions sigma of a relation matrix with w columns, given as
+    its uint8 bytes in C order, in increasing sum_i sigma_i 2^i."""
+    R = np.frombuffer(relations, dtype=np.uint8).reshape(-1, w)
+    sigmas = np.arange(2**w)[:, None] >> np.arange(w) & 1
+    return tuple(map(tuple, sigmas[~(sigmas @ R.T % 2).any(axis=1)].tolist()))
+
+
 def central_reps_mod2(relations, cs_values: tuple[np.ndarray, int], permute) -> list[CentralRep]:
     """One CentralRep per F_2 solution sigma of the abelianized relations,
     for labels with Chern-Simons values cs_values, a (residues, den) pair.  All
-    2^w exponent vectors on the w <= 4 generators are tested at once; the
-    solutions come in increasing sum_i sigma_i 2^i, trivial first.
-    permute(sigma) gives the induced label permutation; it is not
-    called for the trivial representation, which acts as the identity."""
-    w = np.shape(relations)[1]
-    sigmas = np.arange(2**w)[:, None] >> np.arange(w) & 1
+    2^w exponent vectors on the w generators are tested at once, once per
+    relation matrix; the solutions come in increasing sum_i sigma_i 2^i,
+    trivial first.  permute(sigma) gives the induced label permutation; it is
+    not called for the trivial representation, which acts as the identity."""
+    R = np.asarray(relations, dtype=np.uint8) % 2
+    trivial, *sigmas = _kernel_mod2(R.tobytes(), R.shape[1])
     cs, den = cs_values
-    out = []
-    for sigma in map(tuple, sigmas[~(sigmas @ np.transpose(relations) % 2).any(axis=1)].tolist()):
-        perm = np.asarray(permute(sigma)) if any(sigma) else np.arange(len(cs))
+    n = len(cs)
+    out = [CentralRep(trivial, tuple(range(n)), np.zeros(n, dtype=np.int64), den)]
+    for sigma in sigmas:
+        perm = np.asarray(permute(sigma))
         out.append(CentralRep(sigma, tuple(perm.tolist()), (cs[perm] - cs) % den, den))
     return out
 

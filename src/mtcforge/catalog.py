@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache, partial
 from math import gcd
 
 import numpy as np
@@ -43,7 +43,10 @@ class ModularData:
     transpose=True); when S is stored they are a read-only view.  A graded
     product above BAND_ROWS labels stores no S: its bands are built from the
     factor tables, and `s_tilde` is built on first access, read-only and
-    bit-equal to the stored product, under the same dtype contract."""
+    bit-equal to the stored product, under the same dtype contract.
+    Label contract: `labels` is given as a tuple, or as a function of no
+    arguments that returns it, called on first access; a graded product
+    passes one, as certifying against it reads no label."""
 
     labels: tuple[str, ...]
     dims: np.ndarray
@@ -53,18 +56,20 @@ class ModularData:
     grading: tuple[int, ...] | None = None
 
     def __post_init__(self):
-        tw = self.twists
+        # the instance dict takes the derived fields: the class is frozen
+        d = self.__dict__
+        if callable(self.labels):
+            d["_labels_source"] = d.pop("labels")
+        tw = d.pop("twists")
         res, den = tw if len(tw) == 2 and isinstance(tw[0], np.ndarray) else RationalPhase.residues(tw)
         if den >= 2**31:   # keeps the rescaled sums of graded_product and certify in int64
             raise ValueError(f"twist denominator {den} exceeds 2^31")
-        object.__delattr__(self, "twists")
-        object.__setattr__(self, "twist_den", den)
+        d["twist_den"] = den
         frozen = {"dims": np.ascontiguousarray(self.dims, dtype=float),
                   "twist_residues": np.asarray(res, dtype=np.int64) % den}
         S = self.s_tilde
         if isinstance(S, _ProductS):   # s_tilde is built on first access
-            object.__delattr__(self, "s_tilde")
-            object.__setattr__(self, "_s_source", S)
+            d["_s_source"] = d.pop("s_tilde")
         else:
             S = np.asarray(S)
             if np.iscomplexobj(S) and not S.imag.any():
@@ -72,14 +77,16 @@ class ModularData:
             frozen["s_tilde"] = np.ascontiguousarray(S, dtype=complex if np.iscomplexobj(S) else float)
         for name, a in frozen.items():
             a.setflags(write=False)
-            object.__setattr__(self, name, a)
+        d.update(frozen)
 
     def __getattr__(self, name):
-        # `twists` and a source-backed `s_tilde`, left out by __post_init__,
-        # are built on first use
+        # `twists`, and `labels` and `s_tilde` given as sources, left out by
+        # __post_init__, are built on first use
         d = self.__dict__
         if name == "twists" and "twist_den" in d:
             value = tuple(RationalPhase.of(x, self.twist_den) for x in self.twist_residues.tolist())
+        elif name == "labels" and "_labels_source" in d:
+            value = d["_labels_source"]()
         elif name == "s_tilde" and "_s_source" in d:
             value = d["_s_source"].build()
             value.setflags(write=False)
@@ -98,7 +105,7 @@ class ModularData:
 
     @property
     def rank(self) -> int:
-        return len(self.labels)
+        return len(self.dims)
 
     def validate(self, require_dim_sum: bool = True) -> "ModularData":
         """Check shapes, finiteness, symmetry, the unit row and twist; return
@@ -106,34 +113,36 @@ class ModularData:
         band gives the scale, and the symmetry residual |S[i, j] - S[j, i]|
         on and above the diagonal is taken against the same rows of S^T, so
         no temporary is larger than one band and a source-backed S is never
-        stored.  A graded product whose factors are both exactly symmetric
-        (the np.array_equal(S, S.T) test its source makes on each factor)
-        has bands of S^T equal to those of S bit for bit; for it that exact
-        test is the symmetry check, and the residual pass is skipped."""
+        stored.  When S is known to equal S^T bit for bit (`exactly_symmetric`
+        already read, or set by `graded_product` for a product of exactly
+        symmetric factors), the residual is zero and its pass is skipped."""
         tol = comparison_tolerance()
         r = self.rank
         S = self.__dict__.get("s_tilde", self.__dict__.get("_s_source"))
-        if S.shape != (r, r) or len(self.dims) != r or len(self.twist_residues) != r:
+        if S.shape != (r, r) or len(self.twist_residues) != r \
+                or len(self.__dict__.get("labels", self.dims)) != r:
             raise ValueError("inconsistent rank")
-        source = self.__dict__.get("_s_source")
-        symmetric = source is not None and source.symmetric
-        # np.maximum, unlike Python's max, carries NaN and +-inf from any band
-        # into the scale: it is finite exactly when every entry is.  A NaN
-        # residual, which Python's max may drop, needs a non-finite entry, so
-        # the scale check below raises first
-        scale, asym = 1.0, 0.0
+        symmetric = self.__dict__.get("exactly_symmetric", False)
+        # a band's largest |entry| is finite exactly when every entry in it is;
+        # the check comes before the band's residual, so Python's max, which
+        # may drop a NaN, only ever meets finite numbers
+        scale, asym, covered = 1.0, 0.0, 0
         bands = row_bands(r)
         for k, rows in enumerate(bands):
             A = self.s_band(rows)
-            scale = np.maximum(scale, np.abs(A).max())
+            m = np.abs(A).max()
+            if not math.isfinite(m):
+                raise ValueError("non-finite S entries")
+            scale = max(scale, m)
+            covered += len(A)
             if not symmetric:
                 AT = self.s_band(rows, transpose=True)
                 for cols in bands[k:]:
                     asym = max(asym, np.abs(A[:, cols] - AT[:, cols]).max())
                 del AT
             del A   # a built band is freed before the next one is built
-        if not np.isfinite(scale):
-            raise ValueError("non-finite S entries")
+        if covered != r:
+            raise ValueError(f"the row bands cover {covered} of {r} rows")
         if asym > tol * scale:
             raise ValueError("S-matrix not symmetric")
         row0 = self.s_band(slice(0, 1))[0]
@@ -151,6 +160,19 @@ class ModularData:
         if self.grading is not None and len(self.grading) != r:
             raise ValueError("grading length mismatch")
         return self
+
+    @cached_property
+    def exactly_symmetric(self) -> bool:
+        """Whether S equals S^T bit for bit, tested on first read; a graded
+        product of exactly symmetric factors has it set, untested."""
+        return bool(np.array_equal(self.s_tilde, self.s_tilde.T))
+
+    @cached_property
+    def sector_dim_sq(self) -> tuple[float, float]:
+        """The sums of dims^2 over the grade-0 labels and over the grade-1
+        labels, built on first read; only for graded data."""
+        g = np.array(self.grading)
+        return tuple(float(np.sum(self.dims[g == k] ** 2)) for k in (0, 1))
 
     def theta(self) -> np.ndarray:
         """Diagonal of the T-matrix as complex numbers."""
@@ -249,7 +271,7 @@ def graded_product(X: ModularData, Y: ModularData) -> ModularData:
     ii, jj = np.nonzero(gx[:, None] == gy)
     order = np.argsort(gx[ii], kind="stable")
     ii, jj = ii[order], jj[order]
-    labels = tuple(f"({X.labels[i]},{Y.labels[j]})" for i, j in zip(ii.tolist(), jj.tolist()))
+    labels = partial(_product_labels, _label_source(X), _label_source(Y), ii, jj)
     dims = X.dims[ii] * Y.dims[jj]
     L = math.lcm(X.twist_den, Y.twist_den)
     twists = (X.twist_residues[ii] * (L // X.twist_den)
@@ -262,10 +284,29 @@ def graded_product(X: ModularData, Y: ModularData) -> ModularData:
         S = X.s_tilde.take(ii, 1).take(ii, 0) * Y.s_tilde.take(jj, 1).take(jj, 0)
     else:
         S = _ProductS(X, Y, ii, jj)
-    sector = lambda D, gd, g: float(np.sum(D.dims[gd == g] ** 2))
-    D2 = sector(X, gx, 0) * sector(Y, gy, 0) + sector(X, gx, 1) * sector(Y, gy, 1)
+    (x0, x1), (y0, y1) = X.sector_dim_sq, Y.sector_dim_sq
+    D2 = x0 * y0 + x1 * y1
     grading = tuple(gx[ii].tolist())
-    return ModularData(labels, dims, (twists, L), S, D2, grading).validate()
+    D = ModularData(labels, dims, (twists, L), S, D2, grading)
+    # S[b, a] = X[ii[b], ii[a]] * Y[jj[b], jj[a]] is the same product of the
+    # same two floats as S[a, b] when both factors are exactly symmetric
+    if X.exactly_symmetric and Y.exactly_symmetric:
+        D.__dict__["exactly_symmetric"] = True
+    return D.validate()
+
+
+def _label_source(D: ModularData):
+    """D's labels, or the function that builds them: all that a product's
+    labels need of D, so that they do not keep D and its S alive."""
+    d = D.__dict__
+    return d["labels"] if "labels" in d else d["_labels_source"]
+
+
+def _product_labels(x, y, ii: np.ndarray, jj: np.ndarray) -> tuple[str, ...]:
+    """The labels "(x, y)" of the matching-grade pairs ii, jj of two label
+    sources, each a tuple or a function that builds it."""
+    x, y = (s() if callable(s) else s for s in (x, y))
+    return tuple(f"({x[i]},{y[j]})" for i, j in zip(ii.tolist(), jj.tolist()))
 
 
 class _ProductS:
@@ -280,12 +321,10 @@ class _ProductS:
             # an exactly symmetric factor, as every Kauffman factor is, is its own transpose
             S = F.s_tilde
             T = S.take(idx, 1)
-            return T, T if np.array_equal(S, S.T) else S.T.take(idx, 1)
+            return T, T if F.exactly_symmetric else S.T.take(idx, 1)
 
         (Xc, XcT), (Yc, YcT) = tables(X, ii), tables(Y, jj)
         self.ii, self.jj, self.tables = ii, jj, ((Xc, Yc), (XcT, YcT))
-        # both factors exactly symmetric: the rows of S^T are the rows of S
-        self.symmetric = XcT is Xc and YcT is Yc
         self.shape = (len(ii), len(ii))
         # ModularData's dtype contract: complex only when some imaginary part is nonzero
         self.dtype = np.result_type(Xc, Yc)
@@ -312,12 +351,16 @@ def find_transparent(D: ModularData) -> ModularityReport:
     modular exactly when only the unit qualifies.  S is read through
     `s_band`, so a source-backed S is never stored."""
     tol = comparison_tolerance()
-    dev, scale = np.empty(D.rank), 0.0
+    dev, scale, covered = np.empty(D.rank), 0.0, 0
     for rows in row_bands(D.rank):
         A = D.s_band(rows)
         # np.maximum, unlike Python's max, carries NaN into the scale
         scale = np.maximum(scale, np.abs(A).max())
         dev[rows] = np.abs(A - A[:, :1] / D.dims[0] * D.dims).max(axis=1)
+        covered += len(A)
+    # a row no band read would keep the uninitialized value of np.empty
+    if covered != D.rank:
+        raise ValueError(f"the row bands cover {covered} of {D.rank} rows")
     transparent = [D.labels[i] for i in np.flatnonzero(dev <= tol * max(scale, 1.0))]
     return ModularityReport(transparent == [D.labels[0]], tuple(transparent))
 

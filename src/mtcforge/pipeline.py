@@ -25,7 +25,6 @@ S-matrix, the candidate's.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -140,12 +139,6 @@ def sfs_candidate(M: SeifertData, unit: str = "canonical") -> CandidateData:
     raise ValueError(f"unknown unit choice {unit!r}")
 
 
-def _fiber_traces(f: seifert.SeifertFiber, e: int) -> np.ndarray:
-    """2cos(2 pi n_of(i) e / p) at every degree i of the fiber."""
-    return np.array([phase_cos(RationalPhase.of(seifert._twice_n(f, i) * e, 2 * f.p))
-                     for i in range(f.rank)])
-
-
 def _sfs_assemble(M: SeifertData, tag, J, labels, S, grading) -> CandidateData:
     """The characters with degree rows J, with exact CS values mod L =
     lcm(4 p_k), torsions and central actions."""
@@ -156,10 +149,9 @@ def _sfs_assemble(M: SeifertData, tag, J, labels, S, grading) -> CandidateData:
 
 def _sfs_canonical(M: SeifertData) -> CandidateData:
     J = seifert._degree_rows(M)
-    labels = tuple(f"({a},{b},{c})" for a, b, c in J.tolist())
+    labels = tuple(map("({},{},{})".format, *J.T.tolist()))
     # fiber character and fiber label are both indexed by the degree
-    S = _s_matrix([(chebyshev_table(f.rank, -_fiber_traces(f, f.c)), J[:, k])
-                   for k, f in enumerate(M.fibers)])
+    S = _s_matrix([(f.weights, J[:, k]) for k, f in enumerate(M.fibers)])
     return _sfs_assemble(M, M.tag(), J, labels, S, tuple((J[:, 0] % 2).tolist()))
 
 
@@ -171,7 +163,8 @@ def _sfs_reseated(M: SeifertData) -> CandidateData:
     J = seifert._degree_rows(M)
     J = J[np.argsort(-J[:, 2])]
     labels = tuple(f"~{j}" for j in range(r - 1))
-    S = _s_matrix([(chebyshev_table(r - 1, -_fiber_traces(M.fibers[2], 1)[J[:, 2]]), None)])
+    traces = seifert._fiber_traces(M.fibers[2], 1)[J[:, 2]]
+    S = _s_matrix([(chebyshev_table(r - 1, -traces), None)])
     return _sfs_assemble(M, M.tag() + "~reseated", J, labels, S,
                          tuple(j % 2 for j in range(r - 1)))
 
@@ -224,35 +217,42 @@ def admissibility_report(C: CandidateData) -> AdmissibilityReport:
     tol = comparison_tolerance()
     inv2tor = 1.0 / (2.0 * C.torsions)
     total = float(inv2tor.sum())
-    # x / L is the double of the reduced phase too: division rounds correctly
+    # x / L is the double of the reduced phase too: division rounds correctly.
+    # cumsum adds in label order, as a Python sum does; np.sum would pair terms
     cs, L = C.cs_residues, C.cs_den
-    gauss = abs(sum(cmath.exp(-2j * math.pi * (x / L)) * w for x, w in zip(cs.tolist(), inv2tor)))
+    gauss = float(abs(np.cumsum(np.exp(-2j * math.pi * (cs / L)) * inv2tor)[-1]))
     unit = 0
+    acts = C.central_actions
     classification = tuple(
         "bosonic" if act.is_bosonic else "fermionic" if act.is_fermionic else "neither"
-        for act in C.central_actions
+        for act in acts
     )
-    g0 = []
-    for act in C.central_actions:
-        img = act.permutation[unit]
-        if cs[img] == cs[unit] and abs(C.torsions[img] - C.torsions[unit]) <= tol * C.torsions[unit]:
-            g0.append(act)
-    s_X = sorted({act.permutation[unit] for act in g0})
-    s_L = math.sqrt(2) if any(act.is_fermionic for act in g0) else 1.0
-    # orbit partition of the label set under the relating subgroup
-    seen = set()
-    orbits = []
-    for i in range(C.rank):
-        if i in seen:
-            continue
-        orbit = sorted({act.permutation[i] for act in g0} | {i})
-        seen.update(orbit)
-        orbits.append(tuple(C.labels[j] for j in orbit))
-    target = math.sqrt(len(s_X)) / (s_L * math.sqrt(2.0 * C.torsions[unit]))
+    t0 = C.torsions[unit]
+    g0 = [(act, kind) for act, kind in zip(acts, classification)
+          if cs[act.permutation[unit]] == cs[unit]
+          and abs(C.torsions[act.permutation[unit]] - t0) <= tol * t0]
+    s_X = sorted({act.permutation[unit] for act, _ in g0})
+    s_L = math.sqrt(2) if any(kind == "fermionic" for _, kind in g0) else 1.0
+    # orbit partition of the label set under the relating subgroup: label i
+    # opens an orbit, the images of i in increasing order, unless an earlier
+    # orbit holds it
+    moved = [act.permutation for act, _ in g0 if not act.is_trivial]
+    if not moved:
+        orbits = tuple(zip(C.labels))
+    else:
+        images = np.sort(np.array([range(C.rank), *moved]), axis=0).T.tolist()
+        seen, orbits = set(), []
+        for i, row in enumerate(images):
+            if i not in seen:
+                orbit = dict.fromkeys(row)
+                seen.update(orbit)
+                orbits.append(tuple(map(C.labels.__getitem__, orbit)))
+        orbits = tuple(orbits)
+    target = math.sqrt(len(s_X)) / (s_L * math.sqrt(2.0 * t0))
     admissible = abs(total - 1.0) < tol and abs(gauss - target) < tol
     return AdmissibilityReport(
         total, gauss, target, tuple(C.labels[i] for i in s_X), s_L,
-        tuple(orbits), classification, admissible,
+        orbits, classification, admissible,
     )
 
 
@@ -275,18 +275,21 @@ def certify(C: CandidateData, D: ModularData) -> Certificate:
     if C.rank != D.rank:
         raise ValueError(f"rank mismatch: candidate {C.rank}, reference {D.rank}")
     # band by band; a reference whose S is not stored builds each band here.
-    # np.maximum, unlike Python's max, carries NaN through
+    # np.maximum, unlike Python's max, carries NaN through.  The bands must
+    # cover every row: a certificate that skipped some compared nothing there
     ds = scale = 0.0
+    covered = 0
     for rows in row_bands(C.rank):
         R = D.s_band(rows)
-        ds, scale = np.maximum((ds, scale), (np.abs(C.data.s_band(rows) - R).max(),
-                                             np.abs(R).max()))
+        ds = np.maximum(ds, np.abs(C.data.s_band(rows) - R).max())
+        scale = np.maximum(scale, np.abs(R).max())
+        covered += len(R)
     ds = float(ds)
     # a / d == b / e exactly when a e == b d; both products stay below d e < 2^62
     tw = not (C.data.twist_residues * D.twist_den - D.twist_residues * C.data.twist_den).any()
     dd = float(np.abs(C.data.dims - D.dims).max())
     dD2 = float(abs(C.data.total_dim_sq - D.total_dim_sq))
-    passed = bool(ds < tol * max(1.0, float(scale)) and tw
+    passed = bool(covered == C.rank and ds < tol * max(1.0, float(scale)) and tw
                   and dd < tol * max(1.0, float(np.abs(D.dims).max())))
     return Certificate(passed, C.rank, ds, tw, dd, dD2)
 

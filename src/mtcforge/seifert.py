@@ -11,12 +11,21 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
+from functools import cached_property, lru_cache
+from itertools import chain, product
 from math import gcd
 
 import numpy as np
 
-from .algebra import PHASE_HALF, PHASE_ZERO, CentralRep, RationalPhase, central_reps_mod2
+from .algebra import (
+    PHASE_HALF,
+    PHASE_ZERO,
+    CentralRep,
+    RationalPhase,
+    central_reps_mod2,
+    chebyshev_table,
+    phase_cos,
+)
 
 
 @dataclass(frozen=True)
@@ -25,6 +34,10 @@ class SeifertFiber:
 
     c is the surgery constant entering Chern-Simons values and A is the
     phase of the associated Kauffman variable, A_var = e^{2*pi*i*A}.
+    The per-degree tables (`twice_n`, `cs_residues`, `torsion_factors`,
+    `twist_degrees`, `weights`) depend on these fields only; each is built
+    on first read and kept read-only, so a fiber shared through `_fiber`'s
+    memo builds them once.
     """
 
     p: int
@@ -53,12 +66,64 @@ class SeifertFiber:
             raise ValueError("degree out of range")
         return Fraction(_twice_n(self, j), 2)
 
+    @cached_property
+    def twice_n(self) -> np.ndarray:
+        """2 n_of(i) at every degree i, int64."""
+        return _frozen(np.array([_twice_n(self, i) for i in range(self.rank)], dtype=np.int64))
+
+    @cached_property
+    def cs_residues(self) -> np.ndarray:
+        """The Chern-Simons term -c (i+1)^2 / (4p) at every degree i, as int64
+        residues mod 4p."""
+        return _frozen(np.array([(-self.c * (i + 1) ** 2) % (4 * self.p) for i in range(self.rank)],
+                                dtype=np.int64))
+
+    @cached_property
+    def torsion_factors(self) -> np.ndarray:
+        """The torsion factor p / (4 sin^2(2 pi r n_of(i) / p)) at every degree i."""
+        s = np.array([math.sin(2 * math.pi * ((self.r * m) % (2 * self.p) / 2) / self.p)
+                      for m in self.twice_n.tolist()])
+        return _frozen(self.p / (4 * s * s))
+
+    @cached_property
+    def twist_degrees(self) -> np.ndarray:
+        """D[t, s, i]: the degree of parity i + s whose n is that of degree i,
+        moved when t as a central twist moves it; p - 1, past the last
+        degree, where there is none.  int64, shape (2, 2, rank).  The twist
+        takes n to (n + p/2) mod p folded into [0, p/2], which for the
+        rotation numbers 0 < n < p/2 is p/2 - n."""
+        p, n2 = self.p, self.twice_n.tolist()
+        degree = {(i % 2, m): i for i, m in enumerate(n2)}
+        moved = [p - m for m in n2]
+        return _frozen(np.array([[[degree.get(((i + s) % 2, m), p - 1) for i, m in enumerate(ms)]
+                                  for s in (0, 1)] for ms in (n2, moved)], dtype=np.int64))
+
+    @cached_property
+    def weights(self) -> np.ndarray:
+        """W[beta, alpha] = D_alpha(-2cos(2 pi n_of(beta) c / p)): the trace of
+        the operator (x^c, degree alpha) at the degree-beta character."""
+        return _frozen(chebyshev_table(self.rank, -_fiber_traces(self, self.c)))
+
+
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
+
 
 def _twice_n(f: SeifertFiber, j: int) -> int:
     """2 n_of(j), an integer."""
     return f.p - 1 - j if f.q % 2 == 0 and j % 2 == 0 else j + 1
 
 
+def _fiber_traces(f: SeifertFiber, e: int) -> np.ndarray:
+    """2cos(2 pi n_of(i) e / p) at every degree i of the fiber."""
+    return np.array([phase_cos(RationalPhase.of(m * e, 2 * f.p)) for m in f.twice_n.tolist()])
+
+
+# A fiber and its tables depend on (p, q) only, and a sweep meets few pairs:
+# the 969 triples with p <= 7 make 2,907 fiber lookups over 17 pairs.
+# Bounded, because `weights` holds (p - 1)^2 floats.
+@lru_cache(maxsize=1024)
 def _fiber(p: int, q: int) -> SeifertFiber:
     if p < 2:
         raise ValueError(f"fiber order p={p} must be >= 2")
@@ -126,7 +191,9 @@ def _degree_rows(M: SeifertData) -> np.ndarray:
     """Degree rows of all characters, int64 (rank, 3): even block, then odd, each lexicographic."""
     evens = [range(0, f.p - 1, 2) for f in M.fibers]
     odds = [range(1, f.p - 1, 2) for f in M.fibers]
-    return np.array([*product(*evens), *product(*odds)], dtype=np.int64)
+    n = math.prod(map(len, evens)) + math.prod(map(len, odds))
+    rows = chain.from_iterable(chain(product(*evens), product(*odds)))
+    return np.fromiter(rows, np.int64, 3 * n).reshape(n, 3)
 
 
 def _characters(M: SeifertData, J: np.ndarray) -> list[SfsCharacter]:
@@ -152,12 +219,9 @@ def _label_tables(M: SeifertData, J: np.ndarray):
     L = math.lcm(*(4 * f.p for f in M.fibers))
     cs, tors = 0, 1.0
     for f, j in zip(M.fibers, J.T):
-        n2 = [_twice_n(f, i) for i in range(f.rank)]
         # -c (i+1)^2 / (4p) depends on c mod 4p only, so no residue exceeds L
-        cs = cs + np.array([(-f.c * (i + 1) ** 2) % (4 * f.p) * (L // (4 * f.p))
-                            for i in range(f.rank)], dtype=np.int64)[j]
-        s = np.array([math.sin(2 * math.pi * ((f.r * m) % (2 * f.p) / 2) / f.p) for m in n2])
-        tors = tors * (f.p / (4 * s * s))[j]
+        cs = cs + f.cs_residues[j] * (L // (4 * f.p))
+        tors = tors * f.torsion_factors[j]
     return cs % L, L, tors
 
 
@@ -193,25 +257,23 @@ def central_reps(M: SeifertData, chars: list[SfsCharacter] | None = None,
 
 def _central_reps(M: SeifertData, J: np.ndarray, cs_values) -> list[CentralRep]:
     """central_reps on the labels with degree rows J and CS values cs_values,
-    a (residues, den) pair.  The keys (2n_1, 2n_2, 2n_3, 2 lam) of the labels
-    are built inside each nontrivial twist only: a Z2-homology sphere has none."""
-    shape = [f.p + 1 for f in M.fibers] + [2]
+    a (residues, den) pair.  A twist sigma moves the labels' degrees by the
+    fibers' `twist_degrees`, flipping their parity with lam when sigma[3]
+    is set; the label of each image row comes from an index of the degree
+    rows, built at the first nontrivial twist only: a Z2-homology sphere has
+    none."""
+    # degrees 0..p-2, and p-1 where a fiber has no image degree
+    shape = [f.p for f in M.fibers]
+    index = None
 
     def permute(sigma):
-        keys = np.column_stack([np.array([_twice_n(f, i) for i in range(f.rank)])[j]
-                                for f, j in zip(M.fibers, J.T)] + [(J[:, 0] + 1) % 2])
-        codes = np.ravel_multi_index(keys.T, shape)
-        order = np.argsort(codes)
-        # n_k -> (n_k + p_k/2) mod p_k, folded into [0, p_k/2]; lam -> lam + 1/2
-        image = keys.copy()
-        image[:, 3] ^= sigma[3]
-        for k, f in enumerate(M.fibers):
-            if sigma[k]:
-                m = (image[:, k] + f.p) % (2 * f.p)
-                image[:, k] = np.minimum(m, 2 * f.p - m)
-        want = np.ravel_multi_index(image.T, shape)
-        perm = order[np.searchsorted(codes, want, sorter=order) % len(codes)]
-        if not np.array_equal(codes[perm], want):
+        nonlocal index
+        if index is None:
+            index = np.full(math.prod(shape), -1)
+            index[np.ravel_multi_index(J.T, shape)] = np.arange(len(J))
+        image = [f.twist_degrees[t, sigma[3]][j] for f, t, j in zip(M.fibers, sigma, J.T)]
+        perm = index[np.ravel_multi_index(image, shape)]
+        if (perm < 0).any():
             raise ValueError(f"central twist {sigma} leaves the candidate label set")
         return perm
 

@@ -326,6 +326,35 @@ class TestGradedProduct:
         assert np.abs(D.s_tilde - ref).max() < 1e-12
         assert find_transparent(D).is_modular
 
+    def test_labels_built_on_first_read(self):
+        X, Y, Z = tlj_data(phase(7, 12)), tlj_data(phase(2, 5)), tlj_data(phase(3, 28))
+        inner = graded_product(X, Y)
+        D = graded_product(inner, Z)
+        assert "labels" not in vars(inner) and "labels" not in vars(D)
+        # the product's label function holds the factors' label sources, not the factors
+        assert not any(a is inner for a in D._labels_source.args)
+        pairs = [(i, j) for g in (0, 1) for i in range(inner.rank) if inner.grading[i] == g
+                 for j in range(Z.rank) if Z.grading[j] == g]
+        assert D.labels == tuple(f"({inner.labels[i]},{Z.labels[j]})" for i, j in pairs)
+        assert D.rank == len(D.labels) == len(D.dims)
+        assert dataclasses.replace(D, total_dim_sq=1.0).labels == D.labels
+
+    def test_sector_sums_and_exact_symmetry_of_products(self):
+        X, Y = tlj_data(phase(7, 12)), tlj_data(phase(3, 28))
+        D = graded_product(X, Y)
+        g = np.array(D.grading)
+        assert D.sector_dim_sq == tuple(float(np.sum(D.dims[g == k] ** 2)) for k in (0, 1))
+        x, y = X.sector_dim_sq, Y.sector_dim_sq
+        assert D.total_dim_sq == x[0] * y[0] + x[1] * y[1]
+        # set from the factors, and true of the stored S
+        assert vars(D)["exactly_symmetric"] and np.array_equal(D.s_tilde, D.s_tilde.T)
+        S = X.s_tilde.copy()
+        S[0, 1] += 1e-13
+        skew = ModularData(X.labels, X.dims, (X.twist_residues, X.twist_den), S,
+                           X.total_dim_sq, X.grading)
+        assert not skew.exactly_symmetric
+        assert "exactly_symmetric" not in vars(graded_product(skew, Y))
+
     def test_rank_six_reference(self):
         D = graded_product(su2_level(2), su2_level(3))
         s2 = math.sqrt(2)
@@ -490,7 +519,7 @@ class TestSourceBackedS:
         monkeypatch.setattr(catalog._ProductS, "rows", recording)
         D = soN2_adjoint(4 * BAND_ROWS - 1, 5)
         P = graded_product(regraded(D, D.s_tilde), su2_level(0))
-        assert P.rank > BAND_ROWS and P._s_source.symmetric
+        assert P.rank > BAND_ROWS and vars(P)["exactly_symmetric"]
         assert built and not any(built)
         S = D.s_tilde.copy()
         S[2, 1] += 1e-3

@@ -9,9 +9,10 @@ from math import gcd
 import numpy as np
 import pytest
 
+import admissibility_oracle
 import one_shot_oracle
 from loop_operator_oracle import s_matrix, sfs_weights, torus_cs, torus_weights
-from mtcforge import catalog, cli, pipeline
+from mtcforge import catalog, cli, pipeline, suites
 from mtcforge.algebra import BAND_ROWS, RationalPhase, phase_cos
 from mtcforge.catalog import (
     ModularData,
@@ -364,6 +365,78 @@ class TestBandedS:
         assert R.rank == 1440 and peak < 1440 * 1440 * 8, peak / 1e6
         S, peak = self.traced_peak(lambda: R.s_tilde)
         assert peak >= S.nbytes == 1440 * 1440 * 8
+
+
+class TestAdmissibilityOracle:
+    """admissibility_report against the per-label loops it replaced: every
+    field equal, and the same Python types, so that reprs and json match."""
+
+    FLOATS = ("sum_inverse_2tor", "gauss_sum_modulus", "target_modulus", "s_L")
+
+    def assert_equal_reports(self, C):
+        got, want = admissibility_report(C), admissibility_oracle.admissibility_report(C)
+        assert got == want, C.manifold_tag
+        for name in self.FLOATS:
+            assert type(getattr(got, name)) is float, (name, C.manifold_tag)
+        assert type(got.admissible) is bool
+        assert repr(got) == repr(want)
+
+    def test_sfs_triples_up_to_p8(self):
+        triples = suites.sfs_sweep_instances(8)
+        assert len(triples) == 1771
+        nontrivial = 0
+        for pairs in triples:
+            C = sfs_candidate(make_sfs(pairs))
+            self.assert_equal_reports(C)
+            nontrivial += any(not act.is_trivial for act in C.central_actions)
+        assert nontrivial > 0
+
+    def test_torus_bundles(self):
+        monodromies = suites.supported_monodromies(13)
+        assert len(monodromies) == 268
+        for mono in monodromies:
+            self.assert_equal_reports(torus_candidate(make_torus_bundle(*mono)))
+
+
+class TestBandCoverage:
+    """Each checker counts the rows its bands covered.  Dropping the partial
+    last band, here row 128 of a rank-129 candidate, must not pass."""
+
+    PAIRS = [(6, 1), (7, 3), (18, 5)]
+
+    @staticmethod
+    def drop_partial_band(monkeypatch, *modules):
+        bands = catalog.row_bands
+
+        def full_bands_only(n):
+            return [rows for rows in bands(n) if rows.stop <= n]
+        for module in modules:
+            monkeypatch.setattr(module, "row_bands", full_bands_only)
+
+    def test_builder_and_checkers_share_the_fault(self, monkeypatch):
+        M = make_sfs(self.PAIRS)
+        assert character_count(M) == BAND_ROWS + 1
+        self.drop_partial_band(monkeypatch, catalog, pipeline)
+        try:
+            C = sfs_candidate(M)
+            passed = certify(C, triple_product_reference(M)).passed
+            find_transparent(C.data)
+        except ValueError as e:
+            assert "row bands cover 128 of 129 rows" in str(e)
+        else:
+            assert not passed
+
+    def test_each_checker_alone(self, monkeypatch):
+        M = make_sfs(self.PAIRS)
+        C, ref = sfs_candidate(M), triple_product_reference(M)
+        assert certify(C, ref).passed
+        self.drop_partial_band(monkeypatch, catalog)
+        for check in (C.data.validate, lambda: find_transparent(C.data)):
+            with pytest.raises(ValueError, match="row bands cover 128 of 129 rows"):
+                check()
+        monkeypatch.undo()
+        self.drop_partial_band(monkeypatch, pipeline)
+        assert not certify(C, ref).passed
 
 
 class TestCertify:

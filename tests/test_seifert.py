@@ -9,10 +9,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kauffman_closed_forms import quantum_dimension, total_dim
+from mtcforge import seifert
 from mtcforge.algebra import PHASE_HALF, PHASE_ZERO, RationalPhase
 from mtcforge.catalog import graded_product, tlj_data
 from mtcforge.pipeline import sfs_candidate
 from mtcforge.seifert import (
+    SeifertData,
     central_reps,
     character_count,
     enumerate_characters,
@@ -372,3 +374,45 @@ class TestCentralReps:
             for rep in central_reps(M):
                 perm = rep.permutation
                 assert sorted(perm) == list(range(len(perm)))
+
+
+class TestFiberMemo:
+    """make_sfs shares one SeifertFiber per (p, q), and the candidate gathers
+    from its tables.  A candidate is byte-equal whether its fibers come from
+    a cleared memo, from the memo, or from no memo at all."""
+
+    CASES = [([(5, 1), (3, 2), (5, 4)], "canonical"), ([(3, 1), (3, 1), (3, 2)], "canonical"),
+             ([(2, 1), (4, 1), (6, 1)], "canonical"), ([(3, 1), (3, 1), (7, 1)], "reseated"),
+             ([(6, 1), (7, 3), (18, 5)], "canonical")]
+
+    @staticmethod
+    def snapshot(C):
+        return (C.labels, C.data.s_tilde.tobytes(), C.cs_residues.tobytes(), C.cs_den,
+                C.torsions.tobytes(), C.data.twist_residues.tobytes(), C.data.grading,
+                [(a.sigma, a.permutation, a.cs_diffs.tobytes(), a.cs_den)
+                 for a in C.central_actions])
+
+    @pytest.mark.parametrize("pairs,unit", CASES)
+    def test_cold_warm_and_unmemoized_agree(self, pairs, unit):
+        seifert._fiber.cache_clear()
+        cold = self.snapshot(sfs_candidate(make_sfs(pairs), unit))
+        info = seifert._fiber.cache_info()
+        assert info.misses == len(set(pairs))
+        warm = self.snapshot(sfs_candidate(make_sfs(pairs), unit))
+        assert seifert._fiber.cache_info()[:2] == (info.hits + 3, info.misses)
+        fresh = SeifertData(tuple(seifert._fiber.__wrapped__(p, q) for p, q in pairs))
+        assert cold == warm == self.snapshot(sfs_candidate(fresh, unit))
+        if pairs == [(6, 1), (7, 3), (18, 5)]:
+            assert len(cold[0]) == 129
+
+    def test_fibers_shared_and_memo_bounded(self):
+        assert make_sfs([(7, 3), (5, 2), (7, 3)]).fibers[0] is make_sfs([(7, 3), (3, 1), (4, 1)]).fibers[0]
+        assert seifert._fiber.cache_info().maxsize == 1024
+
+    def test_tables_are_read_only(self):
+        for f in make_sfs([(7, 3), (6, 1), (5, 2)]).fibers:
+            for name in ("twice_n", "cs_residues", "torsion_factors", "weights", "twist_degrees"):
+                table = getattr(f, name)
+                assert table.shape[-1] == f.rank and not table.flags.writeable
+                with pytest.raises(ValueError, match="read-only"):
+                    table[0] = 0
