@@ -34,7 +34,7 @@ from .pipeline import (
     torus_candidate,
 )
 from .seifert import character_count, make_sfs, z2_homology_sphere
-from .torsion_engine import chain_torsion
+from .torsion_engine import chain_torsion, zgeqp3
 from .torus_bundle import build_adjoint_complexes, connecting_word, make_torus_bundle
 
 EXIT_OK = 0
@@ -227,6 +227,17 @@ def cmd_sfs(args) -> int:
     return EXIT_OK if cert.passed else EXIT_FAILED
 
 
+def _oracle_missing() -> bool:
+    """Whether numpy's LAPACK lacks the torsion oracle's zgeqp3; if so, says
+    so on stderr.  There is no fallback."""
+    try:
+        zgeqp3()
+    except RuntimeError as e:
+        print(f"error: {e}", file=sys.stderr)
+        return True
+    return False
+
+
 def cmd_torus(args) -> int:
     if args.oracle and args.format == "csv":
         print("error: --oracle has no csv column; use --format json or pretty", file=sys.stderr)
@@ -248,6 +259,8 @@ def cmd_torus(args) -> int:
     if args.oracle and terms > ORACLE_MAX_TERMS:
         print(f"error: oracle word bound |ad| + |bc| = {terms} exceeds {ORACLE_MAX_TERMS}",
               file=sys.stderr)
+        return EXIT_BAD_INPUT
+    if args.oracle and _oracle_missing():
         return EXIT_BAD_INPUT
     C = torus_candidate(T)
     reference = soN2_adjoint(T.N, T.m)
@@ -283,6 +296,8 @@ def cmd_verify(args) -> int:
         return EXIT_BAD_INPUT
     if args.jobs < 1:
         print("error: --jobs must be >= 1", file=sys.stderr)
+        return EXIT_BAD_INPUT
+    if "torsion-oracle" in names and _oracle_missing():
         return EXIT_BAD_INPUT
     results = suites.run_suites(names, jobs=args.jobs, max_p=args.max_p, max_N=args.max_N,
                                 max_level=args.max_level, lemma_max_p=args.lemma_max_p,

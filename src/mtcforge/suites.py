@@ -37,7 +37,7 @@ from .catalog import (
 )
 from .pipeline import admissibility_report, certify, sfs_candidate, torus_candidate
 from .seifert import character_count, make_sfs, z2_homology_sphere
-from .torsion_engine import chain_torsion
+from .torsion_engine import chain_torsion, openblas_function
 from .torus_bundle import build_adjoint_complex, enumerate_torus_characters, make_torus_bundle
 
 
@@ -472,8 +472,7 @@ def _one_blas_thread() -> None:
     """Pool initializer: the workers already fill the cores, so BLAS threads in
     them only contend (verlinde beside an SFS chunk ran several times slower).
     numpy has no thread control; this calls that of the OpenBLAS its wheels bundle."""
-    set_threads = getattr(ctypes.CDLL(np.linalg._umath_linalg.__file__),
-                          "scipy_openblas_set_num_threads64_", None)
+    set_threads = openblas_function("scipy_openblas_set_num_threads64_")
     if set_threads is not None:
         set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
         set_threads(1)

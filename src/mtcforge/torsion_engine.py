@@ -6,6 +6,7 @@ knows nothing about manifolds, only determinants of base-change matrices.
 
 from __future__ import annotations
 
+import ctypes
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -64,34 +65,91 @@ class TorsionResult:
     per_degree_ranks: tuple[int, ...]  # rank of d_i for i = 1..n
 
 
+# LAPACK's pivoted QR with 64-bit integers, as the OpenBLAS bundled with
+# numpy's wheels exports it
+_ZGEQP3 = "scipy_zgeqp3_64_"
+
+
+def openblas_function(name: str):
+    """The named function of the OpenBLAS that numpy's linalg module links, or None."""
+    return getattr(ctypes.CDLL(np.linalg._umath_linalg.__file__), name, None)
+
+
+def zgeqp3():
+    """numpy's LAPACK zgeqp3, looked up when called, so importing the package
+    needs no particular numpy build.  RuntimeError, naming the symbol, when
+    numpy's LAPACK does not export it."""
+    f = openblas_function(_ZGEQP3)
+    if f is None:
+        raise RuntimeError(f"the torsion oracle needs LAPACK's {_ZGEQP3}, which this numpy does "
+                           "not export (numpy's own wheels bundle it)")
+    f.argtypes, f.restype = [ctypes.c_void_p] * 10, None
+    return f
+
+
+class _Geqp3:
+    """zgeqp3 bound to (m, n) matrices.  The optimal workspace is queried
+    once, as scipy.linalg.qr queries it, so the same shape gets the same
+    blocking, the same pivots and the same R.  The Fortran scalars (passed by
+    reference), the matrix buffer, the workspace and the outputs are
+    allocated once and reused, so one instance must not be called from two
+    threads at a time; the package runs its workers as processes."""
+
+    def __init__(self, m: int, n: int):
+        self._f = zgeqp3()
+        self._ints = np.array([m, n, max(m, 1), -1, 0], dtype=np.int64)  # m, n, lda, lwork, info
+        self.qr = np.zeros((m, n), dtype=complex, order="F")
+        self.jpvt = np.zeros(n, dtype=np.int64)
+        self._tau, self._rwork = np.empty(min(m, n), dtype=complex), np.empty(2 * n)
+        query = np.empty(1, dtype=complex)
+        self._bind(query)
+        self._factor()  # lwork = -1: the workspace query
+        self._ints[3] = int(query[0].real)
+        self._work = np.empty(self._ints[3], dtype=complex)
+        self._bind(self._work)
+
+    def _bind(self, work: np.ndarray) -> None:
+        i = self._ints.ctypes.data
+        self._args = (i, i + 8, self.qr.ctypes.data, i + 16, self.jpvt.ctypes.data,
+                      self._tau.ctypes.data, work.ctypes.data, i + 24, self._rwork.ctypes.data, i + 32)
+
+    def _factor(self) -> int:
+        self.jpvt.fill(0)  # every column is free to be pivoted
+        self._f(*self._args)
+        return int(self._ints[4])
+
+    def __call__(self, M: np.ndarray) -> int:
+        """Factor a complex copy of the (m, n) matrix M, which is left
+        unchanged: R on and above the diagonal of self.qr, the 1-based column
+        pivots in self.jpvt, both valid until the next call.  Returns LAPACK's
+        info."""
+        self.qr[...] = M
+        return self._factor()
+
+
 @lru_cache(maxsize=64)
-def _geqp3(m: int, n: int):
-    """LAPACK zgeqp3 and its optimal workspace for (m, n) matrices, queried
-    as scipy.linalg.qr queries it: the same size gives the same blocking,
-    so the same pivots and R."""
-    from scipy.linalg import lapack  # the only scipy use: importing mtcforge does not load it
-    work = lapack.zgeqp3(np.zeros((m, n), dtype=complex), lwork=-1)[3]
-    return lapack.zgeqp3, int(work[0].real)
+def _geqp3(m: int, n: int) -> _Geqp3:
+    """The bound zgeqp3 of each (m, n) shape, built on first use."""
+    return _Geqp3(m, n)
 
 
 def _pivot_columns(M: np.ndarray) -> list[int]:
     """Column indices of a maximal independent set, by pivoted QR: the
-    column pivots of LAPACK zgeqp3 whose |R[i, i]| exceed the tolerance.
-    Only R's diagonal and the pivots are read, so Q is never formed."""
+    column pivots of zgeqp3, in the LAPACK that numpy's wheels bundle, whose
+    |R[i, i]| exceed the tolerance.  Only R's diagonal and the pivots are
+    read, so Q is never formed."""
     if M.size == 0:
         return []
     norms = np.linalg.norm(M, axis=0)
     top = norms.max()
     if top == 0.0:
         return []
-    geqp3, lwork = _geqp3(*M.shape)
-    # a Fortran-ordered complex copy that zgeqp3 may overwrite
-    qr, jpvt, _, _, info = geqp3(np.array(M, dtype=complex, order="F"), lwork=lwork,
-                                 overwrite_a=True)
+    geqp3 = _geqp3(*M.shape)
+    info = geqp3(M)
     if info < 0:
         raise ValueError(f"illegal value in argument {-info} of zgeqp3")
-    rank = int((np.abs(np.diag(qr)) > DEFAULT_TOL * top).sum())
-    return (jpvt[:rank] - 1).tolist()
+    rank = int((np.abs(np.diag(geqp3.qr)) > DEFAULT_TOL * top).sum())
+    return (geqp3.jpvt[:rank] - 1).tolist()
 
 
 def chain_torsion(C: BasedChainComplex, pivots: dict[int, list[int]] | None = None) -> TorsionResult:

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from mtcforge import cli, torus_bundle
+from mtcforge import cli, torsion_engine, torus_bundle
 from mtcforge.algebra import RationalPhase
 from mtcforge.catalog import graded_product, soN2_adjoint, su2_level, tlj_data
 from mtcforge.cli import (
@@ -240,6 +240,28 @@ class TestTorusCommand:
         assert run_cli(["torus", "--monodromy", "712,-1,500537,-703", "--format", "csv"])[0] == 0
         with pytest.raises(AssertionError, match="connecting_word called"):
             run_cli(["torus", "--monodromy", "711,-1,499123,-702", "--oracle", "--format", "json"])
+
+    def test_oracle_exits_2_without_lapack_zgeqp3(self, monkeypatch):
+        # a numpy whose LAPACK lacks the symbol: one clear error, no fallback,
+        # and the commands that need no oracle still run
+        def refuse(*args, **kwargs):
+            raise AssertionError("oracle complex built")
+
+        monkeypatch.setattr(torsion_engine, "openblas_function", lambda name: None)
+        monkeypatch.setattr(cli, "connecting_word", refuse)
+        monkeypatch.setattr(cli, "build_adjoint_complexes", refuse)
+        torsion_engine._geqp3.cache_clear()
+        try:
+            code, out, err = run_cli(["torus", "--monodromy=2,1,1,1", "--oracle", "--format", "json"])
+            assert code == 2 and out == ""
+            assert "error: " in err and "scipy_zgeqp3_64_" in err
+            with pytest.raises(RuntimeError, match="scipy_zgeqp3_64_"):
+                torsion_engine.chain_torsion(torsion_engine.BasedChainComplex((1, 1), (np.array([[2.0]]),)))
+            assert run_cli(["torus", "--monodromy=2,1,1,1", "--format", "json"])[0] == 0
+            code, out, err = run_cli(["verify", "--suite", "torsion-oracle"])
+            assert code == 2 and out == "" and "scipy_zgeqp3_64_" in err
+        finally:
+            torsion_engine._geqp3.cache_clear()
 
     def test_bad_determinant_exit_2(self):
         code, _, err = run_cli(["torus", "--monodromy", "3,1,1,0"])

@@ -8,7 +8,7 @@ import pytest
 
 from mtcforge.algebra import DEFAULT_TOL
 from mtcforge.suites import supported_monodromies
-from mtcforge.torsion_engine import BasedChainComplex, _pivot_columns, chain_torsion
+from mtcforge.torsion_engine import BasedChainComplex, _geqp3, _pivot_columns, chain_torsion
 from mtcforge.torus_bundle import (
     build_adjoint_complex,
     build_adjoint_complexes,
@@ -208,7 +208,7 @@ class TestMultiplicativity:
 def qr_rule_pivots(M):
     """The pivot rule by scipy.linalg.qr, Q and all: the pivots whose
     |R[i, i]| exceed DEFAULT_TOL times the largest column norm."""
-    import scipy.linalg as sla
+    sla = pytest.importorskip("scipy.linalg")
     if M.size == 0:
         return []
     top = np.linalg.norm(M, axis=0).max()
@@ -220,9 +220,27 @@ def qr_rule_pivots(M):
 
 
 class TestPivotColumns:
-    """_pivot_columns calls LAPACK zgeqp3 directly on the complex boundary
-    matrices of a BasedChainComplex; it must pick the columns and the rank
-    that the scipy.linalg.qr rule picks."""
+    """_pivot_columns calls the LAPACK zgeqp3 of numpy's bundled OpenBLAS
+    on the complex boundary matrices of a BasedChainComplex; it must pick the
+    columns and the rank that the scipy.linalg.qr rule picks.  scipy serves
+    only as this independent oracle: these tests skip without it."""
+
+    def test_matches_scipy_zgeqp3_on_every_torus_boundary(self):
+        lapack = pytest.importorskip("scipy.linalg.lapack")
+        boundaries = []
+        for mono in supported_monodromies(13):
+            T = make_torus_bundle(*mono)
+            for C in build_adjoint_complexes(T, enumerate_torus_characters(T)):
+                boundaries.extend(C.boundaries)
+        assert len(boundaries) == 4896
+        for M in boundaries:
+            geqp3 = _geqp3(*M.shape)
+            assert geqp3(M) == 0
+            work = lapack.zgeqp3(np.zeros(M.shape, dtype=complex), lwork=-1)[3]
+            ref, jpvt, _, _, info = lapack.zgeqp3(np.array(M, dtype=complex, order="F"),
+                                                  lwork=int(work[0].real))
+            assert info == 0 and np.array_equal(geqp3.jpvt, jpvt)
+            assert np.abs(np.diag(geqp3.qr)).tobytes() == np.abs(np.diag(ref)).tobytes()
 
     def test_matches_qr_rule_on_torus_complexes(self):
         for mono in supported_monodromies(13):
@@ -266,16 +284,20 @@ class TestPivotColumns:
 
 
 def test_package_import_leaves_scipy_unloaded():
-    # scipy serves only the pivoted QR of the torsion oracle, imported on first use
+    # with scipy blocked, so that any import of it raises, the package and
+    # its oracle still run and give the golden oracle bytes
     root = Path(__file__).resolve().parent.parent
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
     code = ("import sys\n"
+            "sys.modules['scipy'] = None\n"
             "import numpy as np\n"
-            "import mtcforge, mtcforge.cli\n"
-            "assert 'scipy' not in sys.modules\n"
-            "mtcforge.chain_torsion(mtcforge.BasedChainComplex((1, 1), (np.array([[2.0]]),)))\n"
-            "assert 'scipy' in sys.modules\n")
+            "from mtcforge import BasedChainComplex, chain_torsion, cli\n"
+            "code = cli.main(['torus', '--monodromy=-10,9,-19,17', '--oracle', '--format', 'json'])\n"
+            "assert code == 0, code\n"
+            "res = chain_torsion(BasedChainComplex((1, 1), (np.array([[2.0]]),)))\n"
+            "assert res.acyclic and res.value == 0.5, res\n")
     proc = subprocess.run([sys.executable, "-c", code], cwd=root, env=env,
-                          capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
+                          capture_output=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr.decode()
+    assert proc.stdout == (root / "tests" / "golden" / "torus_-10_9_-19_17_oracle.json").read_bytes()
