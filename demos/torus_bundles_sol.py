@@ -11,7 +11,7 @@ import numpy as np
 
 from mtcforge import (
     build_adjoint_complexes,
-    chain_torsion,
+    chain_torsions,
     find_transparent,
     make_torus_bundle,
     torus_candidate,
@@ -31,9 +31,8 @@ for mono in [(2, 1, 1, 1), (4, 1, 3, 1), (2, 17, 1, 9)]:
 
     C = torus_candidate(T)
     print(f"\n{'label':>8} {'CS':>8} {'closed Tor':>12} {'oracle Tor':>14} {'dim':>5} {'twist':>8}")
-    complexes = build_adjoint_complexes(T, C.characters, w=w)
-    for i, chi in enumerate(C.characters):
-        res = chain_torsion(complexes[i])
+    results = chain_torsions(build_adjoint_complexes(T, C.characters, w=w))
+    for i, res in enumerate(results):
         print(f"{C.labels[i]:>8} {str(C.cs[i]):>8} {C.torsions[i]:12.6f} "
               f"{res.value:14.9f} {C.data.dims[i]:5.1f} {str(C.data.twists[i]):>8}")
 

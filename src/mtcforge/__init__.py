@@ -40,7 +40,7 @@ from .seifert import (
     make_sfs,
     z2_homology_sphere,
 )
-from .torsion_engine import BasedChainComplex, TorsionResult, chain_torsion
+from .torsion_engine import BasedChainComplex, TorsionResult, chain_torsion, chain_torsions
 from .torus_bundle import (
     TorusCharacter,
     TorusMonodromy,

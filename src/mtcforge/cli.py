@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import sys
 
@@ -34,7 +35,7 @@ from .pipeline import (
     torus_candidate,
 )
 from .seifert import character_count, make_sfs, z2_homology_sphere
-from .torsion_engine import chain_torsion, zgeqp3
+from .torsion_engine import chain_torsions, zgeqp3
 from .torus_bundle import build_adjoint_complexes, connecting_word, make_torus_bundle
 
 EXIT_OK = 0
@@ -267,13 +268,10 @@ def cmd_torus(args) -> int:
     cert = certify(C, reference)
     extra = {"N": T.N, "c_tilde": T.c_tilde, "m": T.m}
     if args.oracle:
-        rows = []
-        complexes = build_adjoint_complexes(T, C.characters, w=connecting_word(T))
-        for chi, closed, complex_ in zip(C.characters, C.torsions, complexes):
-            res = chain_torsion(complex_)
-            rows.append({"label": chi.label(), "oracle": res.value,
-                         "closed_form": float(closed), "acyclic": res.acyclic})
-        extra["oracle"] = rows
+        results = chain_torsions(build_adjoint_complexes(T, C.characters, w=connecting_word(T)))
+        extra["oracle"] = [{"label": chi.label(), "oracle": res.value,
+                            "closed_form": float(closed), "acyclic": res.acyclic}
+                           for chi, closed, res in zip(C.characters, C.torsions, results)]
     _emit(C, reference, cert, extra, args.format, sys.stdout)
     return EXIT_OK if cert.passed else EXIT_FAILED
 
@@ -321,7 +319,11 @@ def cmd_verify(args) -> int:
     return EXIT_OK if not failed else EXIT_FAILED
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: parse_args keeps no state between
+    calls (the append actions start each call from a fresh list), and an
+    error writes to the sys.stderr of that call."""
     ap = argparse.ArgumentParser(
         prog="mtcforge",
         description="Candidate modular data from small non-hyperbolic 3-manifolds, "

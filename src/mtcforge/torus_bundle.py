@@ -8,10 +8,10 @@ the relations y x y^-1 x^-1, h^-1 x h (x^a y^c)^-1, h x^b y^d h^-1 y^-1,
 and one 3-cell.  The boundary maps are Fox derivatives of these relations,
 evaluated directly in the adjoint representation; no group-ring element is
 ever formed.  `build_adjoint_complexes` builds the complexes of many
-characters in one pass: each relator letter and the connecting word are
-evaluated once, as numpy stacks over the characters, with every sum taken
-in the same order as for one character, so a complex does not depend on
-the characters it was built with.
+characters in one pass, as one stacked BasedChainComplex: each relator
+letter and the connecting word are evaluated once, as numpy stacks over the
+characters, with every sum taken in the same order as for one character, so
+a complex does not depend on the characters it was built with.
 """
 
 from __future__ import annotations
@@ -286,11 +286,12 @@ _BATCH_TERMS = 1 << 18
 
 
 def build_adjoint_complexes(T: TorusMonodromy, chars: list[TorusCharacter],
-                            w: dict[tuple[int, int], int] | None = None) -> list[BasedChainComplex]:
-    """Twisted cellular complexes (3, 9, 9, 3) of the bundle, one per character.
+                            w: dict[tuple[int, int], int] | None = None) -> BasedChainComplex:
+    """Twisted cellular complexes (3, 9, 9, 3) of the bundle, as one stack
+    with a complex per character, in the order of chars.
 
     w overrides the connecting chain of the 3-cell; its coefficients must
-    sum to 1, and a choice that breaks d.d = 0 is rejected when a complex
+    sum to 1, and a choice that breaks d.d = 0 is rejected when the stack
     is assembled.  Each relator letter and the connecting word are
     evaluated once for a whole batch of characters, and every product is
     the one a single character would take, so each complex is bit-equal to
@@ -314,7 +315,8 @@ def build_adjoint_complexes(T: TorusMonodromy, chars: list[TorusCharacter],
     word = ij[..., 0], ij[..., 1], np.fromiter(w.values(), np.int64, len(w)).reshape(1, -1)
     I = np.eye(3, dtype=complex)
 
-    def batch_complexes(batch: list[TorusCharacter]) -> list[BasedChainComplex]:
+    def batch_boundaries(batch: list[TorusCharacter]) -> tuple[np.ndarray, ...]:
+        """The stacks (D3, D2, D1) of the characters of batch."""
         n = len(batch)
         ev, H = _adjoint_evaluator(T, batch)
         H_inv = H[2]
@@ -337,22 +339,24 @@ def build_adjoint_complexes(T: TorusMonodromy, chars: list[TorusCharacter],
         X, Y = table[len(_LETTERS) + 1], table[len(_LETTERS)]   # the powers x^1 and y^1
         D1 = np.concatenate([X - I, Y - I, H_inv - I], axis=2)
         D3 = np.concatenate([I - ev(*word)[0] @ H_inv, H_inv @ (I - Y), I - X], axis=1)
-        return [BasedChainComplex((3, 9, 9, 3), bnds) for bnds in zip(D3, D2, D1)]
+        return D3, D2, D1
 
     # reducible characters first, as _adjoint_evaluator takes them
     order = sorted(range(len(chars)), key=lambda q: chars[q].kind == "irreducible")
     size = max(1, _BATCH_TERMS // max(letter_sums[2].size, len(w)))
-    out: list[BasedChainComplex | None] = [None] * len(chars)
+    stacks = tuple(np.empty((len(chars), rows, cols), dtype=complex)
+                   for rows, cols in ((9, 3), (9, 9), (3, 9)))
     for start in range(0, len(order), size):
         part = order[start:start + size]
-        for q, C in zip(part, batch_complexes([chars[q] for q in part])):
-            out[q] = C
-    return out
+        for stack, D in zip(stacks, batch_boundaries([chars[q] for q in part])):
+            stack[part] = D
+    return BasedChainComplex((3, 9, 9, 3), stacks)
 
 
 def build_adjoint_complex(T: TorusMonodromy, chi: TorusCharacter,
                           w: dict[tuple[int, int], int] | None = None) -> BasedChainComplex:
-    """The complex of build_adjoint_complexes at one character."""
+    """The complex of build_adjoint_complexes at one character (a view of a
+    stack of one)."""
     return build_adjoint_complexes(T, [chi], w)[0]
 
 

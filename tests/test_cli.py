@@ -296,6 +296,23 @@ class TestTorusCommand:
         assert len(obj["oracle"]) == obj["rank"] > 1
         assert len(calls) == 1
 
+    def test_oracle_takes_one_stacked_torsion_call(self, monkeypatch):
+        calls = []
+
+        def counting(C):
+            calls.append(len(list(C)))
+            return torsion_engine.chain_torsions(C)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("one-complex torsion called")
+
+        monkeypatch.setattr(cli, "chain_torsions", counting)
+        monkeypatch.setattr(torsion_engine, "chain_torsion", refuse)
+        code, out, _ = run_cli(["torus", "--monodromy=-10,9,-19,17", "--oracle", "--format", "json"])
+        assert code == 0
+        assert calls == [json.loads(out)["rank"]]
+        assert out.encode() == (GOLDEN / "torus_-10_9_-19_17_oracle.json").read_bytes()
+
     def test_oracle_builds_complexes_in_one_batched_call(self, monkeypatch):
         calls = []
 
@@ -474,6 +491,44 @@ class TestVerifyCommand:
         torus = suites.torus_records(suites.supported_monodromies(9))
         assert seen == {"sfs-tlj": (records, None), "torus-son2": (None, torus),
                         "verlinde": (None, None)}
+
+
+class TestParserReuse:
+    """main parses with one parser per process (build_parser is cached), so
+    calls in one process must not see each other's values or streams."""
+
+    def test_parser_built_once(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_fiber_values_do_not_carry_over(self):
+        three = ["sfs", "--fiber", "3,1", "--fiber", "3,1", "--fiber", "5,1", "--format", "csv"]
+        first = run_cli(three)
+        assert first[0] == 0
+        # with the first call's fibers carried over, two would make five
+        code, out, err = run_cli(["sfs", "--fiber", "3,1", "--fiber", "3,1"])
+        assert code == 2 and out == "" and "exactly three" in err
+        assert run_cli(three) == first
+
+    def test_suite_values_do_not_carry_over(self):
+        for name in ("rank6-table", "su2-parity", "rank6-table"):
+            code, out, _ = run_cli(["verify", "--suite", name, "--format", "json"])
+            assert code == 0
+            assert [s["name"] for s in json.loads(out)["suites"]] == [name]
+
+    def test_usage_goes_to_the_stderr_of_each_call(self):
+        cases = [(["verify", "--suite", "nope"], "invalid choice: 'nope'"),
+                 (["torus"], "required: --monodromy"),
+                 (["sfs", "--fiber"], "expected one argument")]
+        for argv, message in cases:
+            out, err = io.StringIO(), io.StringIO()
+            with redirect_stdout(out), redirect_stderr(err):
+                with pytest.raises(SystemExit) as exc:
+                    main(argv)
+            assert exc.value.code == 2 and out.getvalue() == ""
+            assert err.getvalue().startswith("usage: mtcforge ")
+            assert err.getvalue().count("usage:") == 1 and message in err.getvalue()
+        code, out, _ = run_cli(["torus", "--monodromy=-10,9,-19,17", "--format", "csv"])
+        assert code == 0 and out.encode() == (GOLDEN / "torus_-10_9_-19_17.csv").read_bytes()
 
 
 class TestToleranceOverride:

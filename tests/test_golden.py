@@ -1,9 +1,11 @@
 """Byte-for-byte CLI output on a fixed set of manifolds.
 
 The files under tests/golden/ hold the stdout of each command; regenerate
-one only when an output change is intended.
+one only when an output change is intended.  A .sha256 file there locks the
+outputs of a whole sweep of commands in one digest.
 """
 
+import hashlib
 import io
 from contextlib import redirect_stdout
 from pathlib import Path
@@ -12,6 +14,7 @@ import pytest
 
 from mtcforge import cli
 from mtcforge.cli import main
+from mtcforge.suites import supported_monodromies
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -29,7 +32,7 @@ COMMANDS = {
     "torus_-10_9_-19_17": ["torus", "--monodromy=-10,9,-19,17"],
     "torus_-10_9_-19_17_oracle": ["torus", "--monodromy=-10,9,-19,17", "--oracle"],
 }
-CASES = sorted(p.name for p in GOLDEN.iterdir())
+CASES = sorted(p.name for p in GOLDEN.iterdir() if p.suffix != ".sha256")
 
 
 def test_every_command_has_golden_files():
@@ -80,3 +83,20 @@ def test_json_builds_the_report(monkeypatch, fn):
     _forbid(monkeypatch, [fn])
     with pytest.raises(ReportBuilt, match=fn):
         _run("sfs_5-1_3-2_5-4", "json")
+
+
+def test_oracle_sweep_matches_lock():
+    """`torus --monodromy=a,b,c,d --oracle --format json` on each of the 268
+    supported monodromies with N <= 13, in supported_monodromies order: one
+    sha256 over b"<exit code>\\n" followed by the stdout, per command."""
+    monos = supported_monodromies(13)
+    assert len(monos) == 268
+    digest = hashlib.sha256()
+    for mono in monos:
+        out = io.StringIO()
+        with redirect_stdout(out):
+            code = main(["torus", "--monodromy=" + ",".join(map(str, mono)), "--oracle",
+                         "--format", "json"])
+        digest.update(f"{code}\n".encode())
+        digest.update(out.getvalue().encode())
+    assert digest.hexdigest() == (GOLDEN / "torus_oracle_n13.sha256").read_text().strip()

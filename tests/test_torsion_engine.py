@@ -1,3 +1,4 @@
+import math
 import os
 import subprocess
 import sys
@@ -8,13 +9,27 @@ import pytest
 
 from mtcforge.algebra import DEFAULT_TOL
 from mtcforge.suites import supported_monodromies
-from mtcforge.torsion_engine import BasedChainComplex, _geqp3, _pivot_columns, chain_torsion
+from mtcforge.torsion_engine import (
+    BasedChainComplex,
+    TorsionResult,
+    _geqp3,
+    _pivots,
+    _torsions,
+    chain_torsion,
+    chain_torsions,
+)
 from mtcforge.torus_bundle import (
     build_adjoint_complex,
     build_adjoint_complexes,
     enumerate_torus_characters,
     make_torus_bundle,
 )
+
+
+def _pivot_columns(M):
+    """The pivot columns chain_torsion takes for the matrix M."""
+    ranks, columns = _pivots(np.asarray(M)[None])
+    return columns[0, :ranks[0]].tolist()
 
 
 def doubling_complex():
@@ -107,6 +122,142 @@ class TestChainTorsion:
             res = chain_torsion(BasedChainComplex(C.dims, tuple(bnds)))
             expected = base * det ** ((-1) ** (deg + 1))
             assert res.value == pytest.approx(expected, rel=1e-8), deg
+
+
+def loop_torsion(C: BasedChainComplex, pivots=None) -> TorsionResult:
+    """chain_torsion of one complex as a loop over its degrees, with early
+    returns: the form the stacked pass replaced, kept as its oracle."""
+    n = C.top_degree
+    piv = {n + 1: []}
+    for deg in range(n, 0, -1):
+        piv[deg] = pivots[deg] if pivots is not None and deg in pivots else \
+            _pivot_columns(C.boundary(deg))
+    ranks = tuple(len(piv[deg]) for deg in range(1, n + 1))
+    if not all(len(piv[deg + 1]) + (len(piv[deg]) if deg >= 1 else 0) == C.dim(deg)
+               for deg in range(0, n + 1)):
+        return TorsionResult(None, False, ranks)
+    log_tau = 0.0
+    for deg in range(0, n + 1):
+        blocks = []
+        if deg + 1 <= n:
+            blocks.append(C.boundary(deg + 1)[:, piv[deg + 1]])
+        if deg >= 1 and piv[deg]:
+            E = np.zeros((C.dim(deg), len(piv[deg])), dtype=complex)
+            for col, row in enumerate(piv[deg]):
+                E[row, col] = 1.0
+            blocks.append(E)
+        D = np.hstack(blocks) if blocks else np.zeros((C.dim(deg), 0), dtype=complex)
+        if D.size:
+            sign, logdet = np.linalg.slogdet(D)
+            if sign == 0:
+                return TorsionResult(None, False, ranks)
+            log_tau += (-1) ** (deg + 1) * logdet
+    return TorsionResult(math.exp(log_tau), True, ranks)
+
+
+def stack_of(*complexes: BasedChainComplex) -> BasedChainComplex:
+    """The stack of complexes with the same dims."""
+    return BasedChainComplex(complexes[0].dims, tuple(np.stack(b) for b in
+                                                      zip(*(C.boundaries for C in complexes))))
+
+
+class TestStackedTorsion:
+    """chain_torsions takes a whole stack in one pass; each result must be
+    the one-complex result, bit for bit, and a bad complex must stay alone."""
+
+    def test_matches_one_complex_path_on_every_torus_character(self):
+        count = 0
+        for mono in supported_monodromies(13):
+            T = make_torus_bundle(*mono)
+            stack = build_adjoint_complexes(T, enumerate_torus_characters(T))
+            for C, res in zip(stack, chain_torsions(stack), strict=True):
+                assert res.acyclic
+                assert res == chain_torsion(C) == loop_torsion(C), mono
+                assert res.value.hex() == loop_torsion(C).value.hex()
+                count += 1
+        assert count == 1632
+
+    def test_one_non_acyclic_complex_is_marked_alone(self):
+        T = make_torus_bundle(2, 1, 1, 1)
+        stack = build_adjoint_complexes(T, enumerate_torus_characters(T))
+        D3 = stack.boundaries[0].copy()
+        D3[1, :, 2] = 0.0   # the top boundary of complex 1 cut to rank 2
+        cut = BasedChainComplex(stack.dims, (D3,) + stack.boundaries[1:])
+        got = chain_torsions(cut)
+        assert [res.acyclic for res in got] == [q != 1 for q in range(len(got))]
+        assert got[1].value is None and got[1].per_degree_ranks[2] == 2
+        assert got[1] == loop_torsion(cut[1])
+        assert got[:1] + got[2:] == chain_torsions(stack)[:1] + chain_torsions(stack)[2:]
+
+    def test_singular_forced_pivots_mark_only_that_complex(self):
+        # pivots [0, 1] span C_0 for the identity, not for the rank-one map
+        d1 = np.array([np.eye(2), [[1.0, 1.0], [0.0, 0.0]], 3 * np.eye(2)])
+        stack = BasedChainComplex((2, 2), (d1,))
+        got = _torsions(stack.dims, stack.boundaries, 3, {1: [0, 1]})
+        assert [res.acyclic for res in got] == [True, False, True]
+        assert got == tuple(loop_torsion(C, pivots={1: [0, 1]}) for C in stack)
+        assert got[2].value == pytest.approx(1 / 9)
+        assert [res.acyclic for res in chain_torsions(stack)] == [True, False, True]
+
+    def test_forced_pivots_match_the_one_complex_path(self):
+        T = make_torus_bundle(4, 1, 3, 1)
+        stack = build_adjoint_complexes(T, enumerate_torus_characters(T)[2:])
+        forced = {2: _pivot_columns(stack[0].boundary(2))}
+        got = _torsions(stack.dims, stack.boundaries, len(list(stack)), forced)
+        assert got == tuple(chain_torsion(C, pivots=forced) for C in stack)
+        assert got == tuple(loop_torsion(C, pivots=forced) for C in stack)
+
+    def test_broken_d_squared_in_one_complex_raises(self):
+        T = make_torus_bundle(2, 1, 1, 1)
+        stack = build_adjoint_complexes(T, enumerate_torus_characters(T))
+        D1 = stack.boundaries[2].copy()
+        D1[3, 0, 0] += 1e-3
+        with pytest.raises(ValueError, match="d.d != 0 between degrees 2 and 1"):
+            BasedChainComplex(stack.dims, stack.boundaries[:2] + (D1,))
+
+    def test_each_complex_keeps_its_own_scale(self):
+        # d1 d2 = 1e-4 passes at scale 1e4 (bound 0.1) but not at scale 1
+        big = BasedChainComplex((1, 1, 1), (np.array([[1e4]]), np.array([[1e-8]])))
+        small_d = (np.array([[1.0]]), np.array([[1e-4]]))
+        with pytest.raises(ValueError, match="d.d != 0"):
+            BasedChainComplex((1, 1, 1), small_d)
+        with pytest.raises(ValueError, match="d.d != 0"):
+            BasedChainComplex((1, 1, 1), tuple(np.stack([a, b]) for a, b in
+                                               zip(big.boundaries, small_d)))
+        assert len(list(stack_of(big, big))) == 2
+
+    def test_zero_size_and_one_by_one_stacks(self):
+        doubling = stack_of(doubling_complex(), BasedChainComplex(
+            (1, 1, 0), (np.array([[3.0]]), np.zeros((0, 1)))))
+        assert [res.value for res in chain_torsions(doubling)] == pytest.approx([2.0, 3.0])
+        assert chain_torsions(doubling) == tuple(map(chain_torsion, doubling))
+        bottom = BasedChainComplex((1, 1), (np.array([[[2.0]], [[0.0]]]),))
+        assert chain_torsions(bottom) == (TorsionResult(0.5, True, (1,)),
+                                          TorsionResult(None, False, (0,)))
+        empty = BasedChainComplex((1, 1), (np.zeros((0, 1, 1)),))
+        assert chain_torsions(empty) == () and list(empty) == []
+
+    def test_stack_checks_and_indexing(self):
+        T = make_torus_bundle(2, 1, 1, 1)
+        stack = build_adjoint_complexes(T, enumerate_torus_characters(T))
+        one = stack[1]
+        assert not one.stacked and stack.stacked and one.boundaries[1].shape == (9, 9)
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(one.boundaries, stack[1:2][0].boundaries))
+        with pytest.raises(TypeError, match="chain_torsions"):
+            chain_torsion(stack)
+        with pytest.raises(TypeError, match="chain_torsion for one"):
+            chain_torsions(one)
+        with pytest.raises(TypeError):
+            one[0]
+        with pytest.raises(TypeError):
+            iter(one)
+        with pytest.raises(ValueError, match=r"boundary 1 has shape \(2, 9, 9\), expected \(3, 9, 9\)"):
+            BasedChainComplex(stack.dims, (stack.boundaries[0][:3], stack.boundaries[1][:2],
+                                           stack.boundaries[2][:3]))
+        bad = stack.boundaries[1].copy()
+        bad[2, 0, 0] = np.nan
+        with pytest.raises(ValueError, match="finite"):
+            BasedChainComplex(stack.dims, (stack.boundaries[0], bad, stack.boundaries[2]))
 
 
 def random_acyclic_three_term(rng, a, b):
@@ -220,8 +371,9 @@ def qr_rule_pivots(M):
 
 
 class TestPivotColumns:
-    """_pivot_columns calls the LAPACK zgeqp3 of numpy's bundled OpenBLAS
-    on the complex boundary matrices of a BasedChainComplex; it must pick the
+    """torsion_engine._pivots calls the LAPACK zgeqp3 of numpy's bundled
+    OpenBLAS on the complex boundary matrices of a BasedChainComplex, here
+    one at a time through _pivot_columns; it must pick the
     columns and the rank that the scipy.linalg.qr rule picks.  scipy serves
     only as this independent oracle: these tests skip without it."""
 
