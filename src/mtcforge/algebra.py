@@ -47,8 +47,11 @@ def comparison_tolerance() -> float:
 class RationalPhase:
     """An element t of Q/Z standing for the unit complex number e^{2*pi*i*t}.
 
-    Canonical form: 0 <= numerator < denominator, gcd = 1.  Arithmetic is
-    exact; only to_complex() leaves the rationals.
+    Canonical form: 0 <= numerator < denominator, gcd = 1.  Phases are
+    stored and compared; sums and multiples are taken as Fractions or int64
+    residues and converted once with `of`.  The one operator, + by an int or
+    a Fraction, is kept for perfbench's self-test, which shifts a twist with
+    it.  Only to_complex() leaves the rationals.
     """
 
     numerator: int
@@ -89,40 +92,12 @@ class RationalPhase:
     def to_complex(self) -> complex:
         return cmath.exp(2j * math.pi * self.numerator / self.denominator)
 
-    def order(self) -> int:
-        """Multiplicative order of e^{2*pi*i*t} as a root of unity."""
-        return self.denominator
-
-    def __add__(self, other):
-        n, d = _parts(other)
-        return RationalPhase.of(self.numerator * d + n * self.denominator, self.denominator * d)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        n, d = _parts(other)
-        return RationalPhase.of(self.numerator * d - n * self.denominator, self.denominator * d)
-
-    def __neg__(self):
-        return RationalPhase.of(-self.numerator, self.denominator)
-
-    def __mul__(self, k):
-        # only integer multiples are well defined on Q/Z
-        if isinstance(k, int):
-            return RationalPhase.of(self.numerator * k, self.denominator)
-        return NotImplemented
-
-    __rmul__ = __mul__
+    def __add__(self, shift):
+        """The phase moved by shift, an int or a Fraction."""
+        return RationalPhase.of(self.as_fraction() + shift)
 
     def __str__(self):
         return f"{self.numerator}/{self.denominator}"
-
-
-def _parts(x) -> tuple[int, int]:
-    """(numerator, denominator) of a phase, an int, or anything Fraction takes."""
-    if not isinstance(x, (RationalPhase, int, Fraction)):
-        x = Fraction(x)
-    return x.numerator, x.denominator
 
 
 PHASE_ZERO = RationalPhase(0, 1)

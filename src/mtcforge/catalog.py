@@ -7,13 +7,13 @@ Verlinde fusion) used to certify candidate data.
 
 Every rank^2 pass here reads S through `ModularData.s_band`, one band of
 `algebra.row_bands` at a time.  A graded product above `algebra.BAND_ROWS`
-labels does not store its S: it keeps the factor tables gathered onto its
-columns, and `s_band` builds S, or S^T, band by band.  Its `validate`, its
-transparency test and a `certify` against it read only such bands, so a
-certified `sfs` run holds one rank^2 matrix, the candidate's.  Reading
-`s_tilde` builds and keeps the full matrix, bit-equal to the one-shot
-product.  `s_det_modulus` reads it: the determinant is a report figure,
-not part of the transparency test.
+labels, of two exactly symmetric factors, does not store its S: it keeps the
+factor tables gathered onto its columns, and `s_band` builds S band by band.
+Its `validate`, its transparency test and a `certify` against it read only
+such bands, so a certified `sfs` run holds one rank^2 matrix, the
+candidate's.  Reading `s_tilde` builds and keeps the full matrix, bit-equal
+to the one-shot product.  `s_det_modulus` reads it: the determinant is a
+report figure, not part of the transparency test.
 """
 
 from __future__ import annotations
@@ -39,9 +39,9 @@ class ModularData:
     dtype contract: s_tilde is float64 when every entry is real (a complex
     input with an all-zero imaginary part keeps its real part), and
     complex128 only when some imaginary part is nonzero.
-    S contract: `s_band(rows)` returns those rows of S (of S^T with
-    transpose=True); when S is stored they are a read-only view.  A graded
-    product above BAND_ROWS labels stores no S: its bands are built from the
+    S contract: `s_band(rows)` returns those rows of S; when S is stored
+    they are a read-only view.  A graded product above BAND_ROWS labels of
+    two exactly symmetric factors stores no S: its bands are built from the
     factor tables, and `s_tilde` is built on first access, read-only and
     bit-equal to the stored product, under the same dtype contract.
     Label contract: `labels` is given as a tuple, or as a function of no
@@ -95,13 +95,11 @@ class ModularData:
         object.__setattr__(self, name, value)
         return value
 
-    def s_band(self, rows: slice, transpose: bool = False) -> np.ndarray:
-        """Rows `rows` of S, or of S^T when transpose: a read-only view when S
-        is stored, built from the factor tables of a source-backed S."""
+    def s_band(self, rows: slice) -> np.ndarray:
+        """Rows `rows` of S: a read-only view when S is stored, built from the
+        factor tables of a source-backed S."""
         S = self.__dict__.get("s_tilde")
-        if S is None:
-            return self._s_source.rows(rows, transpose)
-        return S[:, rows].T if transpose else S[rows]
+        return self._s_source.rows(rows) if S is None else S[rows]
 
     @property
     def rank(self) -> int:
@@ -110,12 +108,13 @@ class ModularData:
     def validate(self, require_dim_sum: bool = True) -> "ModularData":
         """Check shapes, finiteness, symmetry, the unit row and twist; return
         self.  S is read through `s_band` in the bands of `row_bands`: each
-        band gives the scale, and the symmetry residual |S[i, j] - S[j, i]|
-        on and above the diagonal is taken against the same rows of S^T, so
-        no temporary is larger than one band and a source-backed S is never
-        stored.  When S is known to equal S^T bit for bit (`exactly_symmetric`
-        already read, or set by `graded_product` for a product of exactly
-        symmetric factors), the residual is zero and its pass is skipped."""
+        band gives the scale, so a source-backed S is never stored.  When S
+        is known to equal its transpose bit for bit (`exactly_symmetric`
+        already read, or set by `graded_product`, as for every source-backed
+        S), the symmetry residual is zero and its pass is skipped.
+        Otherwise S is stored, and the residual |S[i, j] - S[j, i]| on and
+        above the diagonal is taken band by band against the same columns of
+        S, so no temporary is larger than one band."""
         tol = comparison_tolerance()
         r = self.rank
         S = self.__dict__.get("s_tilde", self.__dict__.get("_s_source"))
@@ -136,7 +135,7 @@ class ModularData:
             scale = max(scale, m)
             covered += len(A)
             if not symmetric:
-                AT = self.s_band(rows, transpose=True)
+                AT = self.s_tilde[:, rows].T
                 for cols in bands[k:]:
                     asym = max(asym, np.abs(A[:, cols] - AT[:, cols]).max())
                 del AT
@@ -276,21 +275,22 @@ def graded_product(X: ModularData, Y: ModularData) -> ModularData:
     L = math.lcm(X.twist_den, Y.twist_den)
     twists = (X.twist_residues[ii] * (L // X.twist_den)
               + Y.twist_residues[jj] * (L // Y.twist_den)) % L
-    # S[a, b] = X[ii[a], ii[b]] * Y[jj[a], jj[b]]; above BAND_ROWS labels it
-    # is not stored but built band by band where it is read.  Up to that size
-    # it is stored: rebuilding the bands of the Seifert sweep's small
-    # products on every read made the sweep body about 9 % slower
-    if len(ii) <= BAND_ROWS:
-        S = X.s_tilde.take(ii, 1).take(ii, 0) * Y.s_tilde.take(jj, 1).take(jj, 0)
-    else:
+    # S[a, b] = X[ii[a], ii[b]] * Y[jj[a], jj[b]].  When both factors are
+    # exactly symmetric, S[b, a] is the same product of the same two floats,
+    # and above BAND_ROWS labels S is not stored but built band by band where
+    # it is read.  Up to that size it is stored: rebuilding the bands of the
+    # Seifert sweep's small products on every read made the sweep body
+    # about 9 % slower
+    symmetric = X.exactly_symmetric and Y.exactly_symmetric
+    if len(ii) > BAND_ROWS and symmetric:
         S = _ProductS(X, Y, ii, jj)
+    else:
+        S = X.s_tilde.take(ii, 1).take(ii, 0) * Y.s_tilde.take(jj, 1).take(jj, 0)
     (x0, x1), (y0, y1) = X.sector_dim_sq, Y.sector_dim_sq
     D2 = x0 * y0 + x1 * y1
     grading = tuple(gx[ii].tolist())
     D = ModularData(labels, dims, (twists, L), S, D2, grading)
-    # S[b, a] = X[ii[b], ii[a]] * Y[jj[b], jj[a]] is the same product of the
-    # same two floats as S[a, b] when both factors are exactly symmetric
-    if X.exactly_symmetric and Y.exactly_symmetric:
+    if symmetric:
         D.__dict__["exactly_symmetric"] = True
     return D.validate()
 
@@ -310,21 +310,14 @@ def _product_labels(x, y, ii: np.ndarray, jj: np.ndarray) -> tuple[str, ...]:
 
 
 class _ProductS:
-    """The S of a graded product, S[a, b] = X[ii[a], ii[b]] * Y[jj[a], jj[b]],
-    held as the factor tables gathered onto the product's columns, and as
-    the transposed factors' tables for the rows of S^T.  A band of rows is
-    the product of two row gathers, so it is bit-equal to the same rows of
-    the stored product."""
+    """The S of a graded product of two exactly symmetric factors, S[a, b] =
+    X[ii[a], ii[b]] * Y[jj[a], jj[b]], held as the factor tables gathered
+    onto the product's columns.  A band of rows is the product of two row
+    gathers, so it is bit-equal to the same rows of the stored product."""
 
     def __init__(self, X: ModularData, Y: ModularData, ii: np.ndarray, jj: np.ndarray):
-        def tables(F, idx):
-            # an exactly symmetric factor, as every Kauffman factor is, is its own transpose
-            S = F.s_tilde
-            T = S.take(idx, 1)
-            return T, T if F.exactly_symmetric else S.T.take(idx, 1)
-
-        (Xc, XcT), (Yc, YcT) = tables(X, ii), tables(Y, jj)
-        self.ii, self.jj, self.tables = ii, jj, ((Xc, Yc), (XcT, YcT))
+        Xc, Yc = X.s_tilde.take(ii, 1), Y.s_tilde.take(jj, 1)
+        self.ii, self.jj, self.tables = ii, jj, (Xc, Yc)
         self.shape = (len(ii), len(ii))
         # ModularData's dtype contract: complex only when some imaginary part is nonzero
         self.dtype = np.result_type(Xc, Yc)
@@ -332,8 +325,8 @@ class _ProductS:
                                              for rows in row_bands(len(ii))):
             self.dtype = np.dtype(float)
 
-    def rows(self, rows: slice, transpose: bool = False) -> np.ndarray:
-        Xc, Yc = self.tables[transpose]
+    def rows(self, rows: slice) -> np.ndarray:
+        Xc, Yc = self.tables
         # one gather at a time: the band and one gather are all it holds
         band = Xc.take(self.ii[rows], 0).astype(np.result_type(Xc, Yc), copy=False)
         band *= Yc.take(self.jj[rows], 0)

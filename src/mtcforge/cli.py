@@ -18,15 +18,7 @@ import numpy as np
 
 from . import suites
 from .algebra import RationalPhase
-from .catalog import (
-    ModularData,
-    find_transparent,
-    graded_product,
-    s_det_modulus,
-    soN2_adjoint,
-    su2_level,
-    tlj_data,
-)
+from .catalog import ModularData, find_transparent, s_det_modulus, soN2_adjoint
 from .pipeline import (
     admissibility_report,
     certify,
@@ -36,7 +28,7 @@ from .pipeline import (
 )
 from .seifert import character_count, make_sfs, z2_homology_sphere
 from .torsion_engine import chain_torsions, zgeqp3
-from .torus_bundle import build_adjoint_complexes, connecting_word, make_torus_bundle
+from .torus_bundle import build_adjoint_complexes, make_torus_bundle
 
 EXIT_OK = 0
 EXIT_FAILED = 1
@@ -212,13 +204,7 @@ def cmd_sfs(args) -> int:
     except (ValueError, ArithmeticError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_BAD_INPUT
-    if args.unit == "reseated":
-        reference = su2_level(M.p[2] - 2)
-    else:
-        reference = graded_product(
-            graded_product(tlj_data(M.fibers[0].A), tlj_data(M.fibers[1].A)),
-            tlj_data(M.fibers[2].A),
-        )
+    reference = suites.sfs_reference(M, args.unit)
     cert = certify(C, reference)
     extra = {
         "z2_homology_sphere": z2_homology_sphere(M),
@@ -268,7 +254,7 @@ def cmd_torus(args) -> int:
     cert = certify(C, reference)
     extra = {"N": T.N, "c_tilde": T.c_tilde, "m": T.m}
     if args.oracle:
-        results = chain_torsions(build_adjoint_complexes(T, C.characters, w=connecting_word(T)))
+        results = chain_torsions(build_adjoint_complexes(T, C.characters))
         extra["oracle"] = [{"label": chi.label(), "oracle": res.value,
                             "closed_form": float(closed), "acyclic": res.acyclic}
                            for chi, closed, res in zip(C.characters, C.torsions, results)]

@@ -60,16 +60,13 @@ class SeifertFiber:
         """Number of admissible degrees 0..p-2."""
         return self.p - 1
 
-    def n_of(self, j: int) -> Fraction:
-        """Eigenvalue parameter of the degree-j character on this fiber."""
-        if not 0 <= j <= self.p - 2:
-            raise ValueError("degree out of range")
-        return Fraction(_twice_n(self, j), 2)
-
     @cached_property
     def twice_n(self) -> np.ndarray:
-        """2 n_of(i) at every degree i, int64."""
-        return _frozen(np.array([_twice_n(self, i) for i in range(self.rank)], dtype=np.int64))
+        """2 n(i) at every degree i, int64: n(i) is the rotation number of
+        the degree-i character on this fiber."""
+        p, even_q = self.p, self.q % 2 == 0
+        return _frozen(np.array([p - 1 - j if even_q and j % 2 == 0 else j + 1 for j in range(self.rank)],
+                                dtype=np.int64))
 
     @cached_property
     def cs_residues(self) -> np.ndarray:
@@ -80,7 +77,7 @@ class SeifertFiber:
 
     @cached_property
     def torsion_factors(self) -> np.ndarray:
-        """The torsion factor p / (4 sin^2(2 pi r n_of(i) / p)) at every degree i."""
+        """The torsion factor p / (4 sin^2(2 pi r n(i) / p)) at every degree i."""
         s = np.array([math.sin(2 * math.pi * ((self.r * m) % (2 * self.p) / 2) / self.p)
                       for m in self.twice_n.tolist()])
         return _frozen(self.p / (4 * s * s))
@@ -100,7 +97,7 @@ class SeifertFiber:
 
     @cached_property
     def weights(self) -> np.ndarray:
-        """W[beta, alpha] = D_alpha(-2cos(2 pi n_of(beta) c / p)): the trace of
+        """W[beta, alpha] = D_alpha(-2cos(2 pi n(beta) c / p)): the trace of
         the operator (x^c, degree alpha) at the degree-beta character."""
         return _frozen(chebyshev_table(self.rank, -_fiber_traces(self, self.c)))
 
@@ -110,13 +107,8 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _twice_n(f: SeifertFiber, j: int) -> int:
-    """2 n_of(j), an integer."""
-    return f.p - 1 - j if f.q % 2 == 0 and j % 2 == 0 else j + 1
-
-
 def _fiber_traces(f: SeifertFiber, e: int) -> np.ndarray:
-    """2cos(2 pi n_of(i) e / p) at every degree i of the fiber."""
+    """2cos(2 pi n(i) e / p) at every degree i of the fiber."""
     return np.array([phase_cos(RationalPhase.of(m * e, 2 * f.p)) for m in f.twice_n.tolist()])
 
 
@@ -179,7 +171,7 @@ class SfsCharacter:
 
 
 def _n_tables(M: SeifertData) -> list[list[Fraction]]:
-    return [[f.n_of(j) for j in range(f.rank)] for f in M.fibers]
+    return [[Fraction(m, 2) for m in f.twice_n.tolist()] for f in M.fibers]
 
 
 def _character(ns: list[list[Fraction]], j: tuple[int, int, int]) -> SfsCharacter:

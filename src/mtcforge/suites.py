@@ -93,15 +93,23 @@ def sfs_sweep_records(max_p: int = 9) -> tuple[SweepRecord, ...]:
     return sfs_records(sfs_sweep_instances(max_p))
 
 
+def sfs_reference(M, unit: str = "canonical") -> ModularData:
+    """The catalog data an SFS candidate is certified against: the nested
+    graded product of the fibers' Kauffman data, or SU(2) at level p3 - 2
+    for the reseated unit."""
+    if unit == "reseated":
+        return su2_level(M.p[2] - 2)
+    X, Y, Z = (tlj_data(f.A) for f in M.fibers)
+    return graded_product(graded_product(X, Y), Z)
+
+
 def sfs_records(triples) -> tuple[SweepRecord, ...]:
     """The sweep records of the given triples, in order: a chunk of the sweep."""
     out = []
     for pairs in triples:
         M = make_sfs(pairs)
         C = sfs_candidate(M)
-        ref = graded_product(graded_product(tlj_data(M.fibers[0].A), tlj_data(M.fibers[1].A)),
-                             tlj_data(M.fibers[2].A))
-        cert = certify(C, ref)
+        cert = certify(C, sfs_reference(M))
         rep = find_transparent(C.data)
         adm = admissibility_report(C)
         out.append(SweepRecord(
@@ -121,9 +129,7 @@ def supported_monodromies(max_N: int = 13) -> list[tuple[int, int, int, int]]:
             d = N - 2 - a
             if abs(d) > MONODROMY_BOUND:
                 continue
-            bc = a * d - 1
-            if bc == 0:
-                continue
+            bc = a * d - 1   # nonzero: a + d = N - 2 is odd, so ad != 1
             for b in range(-MONODROMY_BOUND, MONODROMY_BOUND + 1):
                 if b == 0 or bc % b:
                     continue

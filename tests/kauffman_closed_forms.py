@@ -1,7 +1,8 @@
 """Closed forms of Kauffman-bracket quantities that the tests compare
 against: quantum integers, the per-fiber quantum dimensions of a Seifert
 character, the total dimension of the Kauffman data at A and the twists of
-the Kauffman and quantum SU(2) data, one exact phase at a time."""
+the Kauffman and quantum SU(2) data, one exact phase at a time, each sum
+and multiple taken in Fraction."""
 
 import math
 from fractions import Fraction
@@ -31,19 +32,22 @@ def quantum_dimension(M, chi) -> float:
     return out
 
 
+def a4_order(A_phase: RationalPhase) -> int:
+    """The order r of A^4 as a root of unity, taken in Fraction."""
+    return RationalPhase.of(4 * A_phase.as_fraction()).denominator
+
+
 def total_dim(A_phase: RationalPhase) -> float:
     """sqrt(2r)/|A^2 - A^-2| for the Kauffman data at A."""
     t = A_phase.as_fraction()
-    r = RationalPhase.of(4 * t).order()
+    r = a4_order(A_phase)
     return math.sqrt(2 * r) / abs(2 * phase_sin(2 * t))
 
 
 def tlj_twists(A_phase: RationalPhase) -> tuple[RationalPhase, ...]:
     """theta_j = (-A)^{j(j+2)} for j = 0..r-2, r the order of A^4."""
-    t = A_phase.as_fraction()
-    r = RationalPhase.of(4 * t).order()
-    minus_A = (A_phase + Fraction(1, 2)).as_fraction()
-    return tuple(RationalPhase.of(j * (j + 2) * minus_A) for j in range(r - 1))
+    minus_A = A_phase.as_fraction() + Fraction(1, 2)
+    return tuple(RationalPhase.of(j * (j + 2) * minus_A) for j in range(a4_order(A_phase) - 1))
 
 
 def su2_twists(k: int) -> tuple[RationalPhase, ...]:

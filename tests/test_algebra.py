@@ -85,30 +85,29 @@ class TestRationalPhase:
            st.integers(-10**6, 10**6), st.integers(1, 10**4))
     @settings(max_examples=300)
     def test_addition_exact(self, an, ad, bn, bd):
-        a = RationalPhase.of(an, ad)
-        b = RationalPhase.of(bn, bd)
-        assert (a + b) - b == a
-        assert a + (-a) == RationalPhase(0, 1)
+        # sums are taken in Fraction; a phase is only shifted by one
+        a, x = RationalPhase.of(an, ad), Fraction(bn, bd)
+        assert (a + x) + (-x) == a
+        assert a + (-a.as_fraction()) == RationalPhase(0, 1)
 
     @given(st.integers(-10**6, 10**6), st.integers(-10**4, 10**4).filter(bool),
            st.integers(-10**6, 10**6), st.integers(-10**4, 10**4).filter(bool),
-           st.integers(-10**3, 10**3), st.fractions(max_denominator=10**3))
+           st.integers(-10**3, 10**3))
     @settings(max_examples=300)
-    def test_matches_fraction_oracle(self, an, ad, bn, bd, k, x):
+    def test_matches_fraction_oracle(self, an, ad, bn, bd, k):
         def parts(t):
             return t.numerator, t.denominator
 
-        a, b = RationalPhase.of(an, ad), RationalPhase.of(bn, bd)
+        a = RationalPhase.of(an, ad)
         fa, fb = Fraction(an, ad), Fraction(bn, bd)
         assert parts(a) == parts(fa % 1)
+        assert a.as_fraction() == fa % 1
         assert parts(RationalPhase.of(fa)) == parts(fa % 1)
-        assert parts(a + b) == parts((fa + fb) % 1)
-        assert parts(a - b) == parts((fa - fb) % 1)
-        assert parts(-a) == parts(-fa % 1)
-        assert parts(a * k) == parts(k * a) == parts(fa * k % 1)
-        # a phase times a non-integer would depend on its representative
+        assert parts(a + fb) == parts((fa + fb) % 1)
+        assert parts(a + k) == parts(fa % 1)
+        # phases are not combined with phases: sums go through Fraction
         with pytest.raises(TypeError):
-            a * x
+            a + RationalPhase.of(bn, bd)
 
     # numerators over 720720 = lcm(1..16): reduced denominators of many sizes
     @given(st.lists(st.integers(-10**7, 10**7), max_size=20))
@@ -123,22 +122,20 @@ class TestRationalPhase:
         rng = np.random.default_rng(3)
         for _ in range(10_000):
             a = RationalPhase.of(int(rng.integers(-999, 999)), int(rng.integers(1, 99)))
-            b = RationalPhase.of(int(rng.integers(-999, 999)), int(rng.integers(1, 99)))
-            assert (a + b) - b == a
+            x = Fraction(int(rng.integers(-999, 999)), int(rng.integers(1, 99)))
+            assert (a + x) + (-x) == a
 
     def test_integer_scale(self):
+        # a multiple is taken in Fraction: a phase defines no product
         t = RationalPhase.of(3, 8)
-        assert 4 * t == RationalPhase(1, 2)
-        # 1 and 0 are the same phase, but 1 * 1/2 and 0 * 1/2 are not
-        for x in (Fraction(2, 3), Fraction(1, 2), 0.5):
+        assert RationalPhase.of(4 * t.as_fraction()) == RationalPhase(1, 2)
+        for x in (4, Fraction(2, 3), Fraction(1, 2), 0.5):
             with pytest.raises(TypeError):
                 t * x
             with pytest.raises(TypeError):
                 x * t
-
-    def test_order(self):
-        assert RationalPhase.of(2, 6).order() == 3
-        assert RationalPhase.of(0, 5).order() == 1
+        with pytest.raises(TypeError):
+            -t
 
 
 def kernel(M) -> list[tuple[int, ...]]:

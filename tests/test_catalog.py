@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import one_shot_oracle
-from kauffman_closed_forms import quantum_integer, su2_twists, tlj_twists, total_dim
+from kauffman_closed_forms import a4_order, quantum_integer, su2_twists, tlj_twists, total_dim
 from mtcforge import catalog
 from mtcforge.algebra import BAND_ROWS, RationalPhase
 from mtcforge.catalog import (
@@ -38,7 +38,7 @@ def graded_data():
     """Kauffman data at A with A^4 of order >= 2, or a quantum SU(2) level."""
     kauffman = st.integers(1, 40).flatmap(
         lambda d: st.integers(0, d - 1).map(lambda n: RationalPhase.of(n, d)))
-    return st.one_of(kauffman.filter(lambda A: (4 * A).order() >= 2).map(tlj_data),
+    return st.one_of(kauffman.filter(lambda A: a4_order(A) >= 2).map(tlj_data),
                      st.integers(0, 8).map(su2_level))
 
 
@@ -104,10 +104,10 @@ class TestKauffmanData:
     def test_variable_negation(self):
         # A -> -A keeps S and flips exactly the odd twists
         for t in [phase(1, 16), phase(2, 5), phase(1, 24)]:
-            D1, D2 = tlj_data(t), tlj_data(t + Fraction(1, 2))
+            D1, D2 = tlj_data(t), tlj_data(RationalPhase.of(t.as_fraction() + Fraction(1, 2)))
             assert np.abs(D1.s_tilde - D2.s_tilde).max() < 1e-12
             for j, (a, b) in enumerate(zip(D1.twists, D2.twists)):
-                assert a - b == phase(j % 2, 2)
+                assert RationalPhase.of(a.as_fraction() - b.as_fraction()) == phase(j % 2, 2)
 
     def test_modularity_by_order(self):
         # primitive 4r-th root: modular; odd r at a primitive 2r-th root:
@@ -129,7 +129,7 @@ class TestKauffmanData:
     def test_matches_quantum_integer_loop(self):
         # the sine-table gather against the scalar double loop it replaced
         phases = [RationalPhase.of(n, d) for d in range(1, 25) for n in range(d)]
-        phases = [A for A in phases if (4 * A).order() >= 2]
+        phases = [A for A in phases if a4_order(A) >= 2]
         phases += [phase(5, 116), phase(43, 100), phase(37, 500)]
         for A in phases:
             D = tlj_data(A)
@@ -145,7 +145,7 @@ class TestKauffmanData:
         for b in range(1, 120):
             for a in range(b):
                 A = RationalPhase.of(a, b)
-                if A.denominator != b or (4 * A).order() < 2:
+                if A.denominator != b or a4_order(A) < 2:
                     continue
                 D = tlj_data(A)
                 res, den = RationalPhase.residues(tlj_twists(A))
@@ -389,7 +389,7 @@ class TestGradedProduct:
     @given(graded_data(), graded_data(), graded_data())
     @settings(max_examples=60, deadline=None)
     def test_matches_pair_loop(self, X, Y, Z):
-        # the label-pair loop and RationalPhase sums that the array form replaced.
+        # the label-pair loop and twist sums, taken in Fraction, that the array form replaced.
         # S is compared band by band against per-band gathers of the pair loop,
         # and whole only up to FULL_S_MAX_RANK labels: the nested product can
         # reach rank 13,718, whose S alone would take 1.5 GB
@@ -399,7 +399,8 @@ class TestGradedProduct:
                      for j in range(Q.rank) if Q.grading[j] == g]
             assert D.labels == tuple(f"({P.labels[i]},{Q.labels[j]})" for i, j in pairs)
             assert D.grading == tuple(P.grading[i] for i, _ in pairs)
-            assert D.twists == tuple(P.twists[i] + Q.twists[j] for i, j in pairs)
+            assert D.twists == tuple(RationalPhase.of(P.twists[i].as_fraction() + Q.twists[j].as_fraction())
+                                     for i, j in pairs)
             ii, jj = np.array([i for i, _ in pairs]), np.array([j for _, j in pairs])
             for start in range(0, D.rank, BAND_ROWS):
                 rows = slice(start, start + BAND_ROWS)
@@ -444,13 +445,12 @@ class TestSourceBackedS:
     def test_bands_match_materialized_s(self):
         D = graded_product(tlj_data(phase(1, 84)), tlj_data(phase(1, 76)))
         assert BAND_ROWS < D.rank < 2 * BAND_ROWS and not is_stored(D)
-        bands = [(slice(i, i + BAND_ROWS), D.s_band(slice(i, i + BAND_ROWS)),
-                  D.s_band(slice(i, i + BAND_ROWS), transpose=True))
+        bands = [(slice(i, i + BAND_ROWS), D.s_band(slice(i, i + BAND_ROWS)))
                  for i in range(0, D.rank, BAND_ROWS)]
         S = D.s_tilde
         assert is_stored(D)
-        for rows, A, AT in bands:
-            assert A.tobytes() == S[rows].tobytes() and AT.tobytes() == S.T[rows].tobytes()
+        for rows, A in bands:
+            assert A.tobytes() == S[rows].tobytes()
             # once stored, a band is a read-only view
             view = D.s_band(rows)
             assert np.shares_memory(view, S) and not view.flags.writeable
@@ -506,28 +506,29 @@ class TestSourceBackedS:
         assert not is_stored(graded_product(regraded(D, D.s_tilde), su2_level(0)).validate())
 
     def test_symmetry_residual_only_for_asymmetric_factors(self, monkeypatch):
-        # exactly symmetric factors make S^T's bands equal to S's, so validate
-        # builds none of them; one asymmetric factor, on either side of a
-        # product above BAND_ROWS labels, still fails the residual test
+        # exactly symmetric factors make a source-backed S, whose validate
+        # builds its bands once and no residual; one asymmetric factor, on
+        # either side of a product above BAND_ROWS labels, makes a stored S,
+        # which still fails the residual test
         built = []
         rows = catalog._ProductS.rows
 
-        def recording(self, band, transpose=False):
-            built.append(transpose)
-            return rows(self, band, transpose)
+        def recording(self, band):
+            built.append(band)
+            return rows(self, band)
 
         monkeypatch.setattr(catalog._ProductS, "rows", recording)
         D = soN2_adjoint(4 * BAND_ROWS - 1, 5)
         P = graded_product(regraded(D, D.s_tilde), su2_level(0))
-        assert P.rank > BAND_ROWS and vars(P)["exactly_symmetric"]
-        assert built and not any(built)
+        assert P.rank > BAND_ROWS and vars(P)["exactly_symmetric"] and not is_stored(P)
+        assert built
         S = D.s_tilde.copy()
         S[2, 1] += 1e-3
         for factors in ((regraded(D, S), su2_level(0)), (su2_level(0), regraded(D, S))):
             built.clear()
             with pytest.raises(ValueError, match="S-matrix not symmetric"):
                 graded_product(*factors)
-            assert any(built)
+            assert not built
 
 
 class TestVerlinde:

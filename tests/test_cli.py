@@ -229,7 +229,7 @@ class TestTorusCommand:
         def refuse(T):
             raise AssertionError("connecting_word called")
 
-        monkeypatch.setattr(cli, "connecting_word", refuse)
+        monkeypatch.setattr(torus_bundle, "connecting_word", refuse)
         assert cli.ORACLE_MAX_TERMS == 10**6
         # N = 11 (rank 7) with b = -1 and d = 9 - a: |ad| + |bc| = 1,001,073
         code, out, err = run_cli(["torus", "--monodromy", "712,-1,500537,-703", "--oracle",
@@ -248,7 +248,7 @@ class TestTorusCommand:
             raise AssertionError("oracle complex built")
 
         monkeypatch.setattr(torsion_engine, "openblas_function", lambda name: None)
-        monkeypatch.setattr(cli, "connecting_word", refuse)
+        monkeypatch.setattr(torus_bundle, "connecting_word", refuse)
         monkeypatch.setattr(cli, "build_adjoint_complexes", refuse)
         torsion_engine._geqp3.cache_clear()
         try:
@@ -287,7 +287,6 @@ class TestTorusCommand:
             calls.append(T)
             return connecting_word(T)
 
-        monkeypatch.setattr(cli, "connecting_word", counting)
         monkeypatch.setattr(torus_bundle, "connecting_word", counting)
         code, out, _ = run_cli(["torus", "--monodromy=-10,9,-19,17", "--oracle",
                                 "--format", "json"])

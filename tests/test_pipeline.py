@@ -229,10 +229,11 @@ class TestAdmissibility:
         seen = set()
         for C in candidates:
             assert any(not act.is_trivial for act in C.central_actions), C.manifold_tag
+            cs = [c.as_fraction() for c in C.cs]
             for act in C.central_actions:
                 perm = act.permutation
                 diffs = tuple(RationalPhase.of(x, act.cs_den) for x in act.cs_diffs.tolist())
-                assert diffs == tuple(C.cs[perm[i]] - C.cs[i] for i in range(C.rank))
+                assert diffs == tuple(RationalPhase.of(cs[perm[i]] - cs[i]) for i in range(C.rank))
             classes = admissibility_report(C).central_classification
             for act, cls in zip(C.central_actions, classes, strict=True):
                 want = ("bosonic" if act.is_bosonic else
@@ -515,9 +516,10 @@ class TestLazyViews:
             assert C.characters == tuple(chars)
             cs = tuple(torus_cs(T, c) for c in chars)
             assert C.cs == cs
+            fr = [c.as_fraction() for c in cs]
             for rep in central_reps(T):
                 assert [RationalPhase.of(x, rep.cs_den) for x in rep.cs_diffs.tolist()] == \
-                    [cs[j] - cs[i] for i, j in enumerate(rep.permutation)]
+                    [RationalPhase.of(fr[j] - fr[i]) for i, j in enumerate(rep.permutation)]
 
 
 class TestConcurrency:
