@@ -26,12 +26,11 @@ for mono in [(2, 1, 1, 1), (4, 1, 3, 1), (2, 17, 1, 9)]:
     T = make_torus_bundle(*mono)
     print("=" * 70)
     print(f"monodromy {mono}: N = {T.N}, c~ = {T.c_tilde}, m = {T.m}")
-    w = connecting_word(T)
-    print(f"connecting chain of the 3-cell (x,y exponents -> coeff): {w}")
+    print(f"connecting chain of the 3-cell (x,y exponents -> coeff): {connecting_word(T)}")
 
     C = torus_candidate(T)
     print(f"\n{'label':>8} {'CS':>8} {'closed Tor':>12} {'oracle Tor':>14} {'dim':>5} {'twist':>8}")
-    results = chain_torsions(build_adjoint_complexes(T, C.characters, w=w))
+    results = chain_torsions(build_adjoint_complexes(T, C.characters))
     for i, res in enumerate(results):
         print(f"{C.labels[i]:>8} {str(C.cs[i]):>8} {C.torsions[i]:12.6f} "
               f"{res.value:14.9f} {C.data.dims[i]:5.1f} {str(C.data.twists[i]):>8}")

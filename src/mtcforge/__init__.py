@@ -6,12 +6,7 @@ Anosov torus bundles; the results are certified against independently built
 premodular categories and a generic chain-complex torsion oracle.
 """
 
-from .algebra import (
-    PHASE_HALF,
-    PHASE_ZERO,
-    RationalPhase,
-    parity_exp_sum,
-)
+from .algebra import PHASE_HALF, PHASE_ZERO, RationalPhase
 from .catalog import (
     ModularData,
     ModularityReport,

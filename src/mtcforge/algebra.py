@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import cmath
 import math
-import os
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -19,6 +18,7 @@ from math import gcd
 
 import numpy as np
 
+# the fixed matrix-entry comparison tolerance of every check and of the torsion oracle
 DEFAULT_TOL = 1e-9
 # Rows per band of every rank^2 S build and check, which makes no temporary
 # larger than one band: a band of a rank-1440 float64 matrix is 1.5 MB and
@@ -30,17 +30,6 @@ def row_bands(n: int) -> list[slice]:
     """The row bands of an n-row matrix, BAND_ROWS rows each but a shorter
     last one; at most BAND_ROWS rows are one band."""
     return [slice(i, i + BAND_ROWS) for i in range(0, n, BAND_ROWS)]
-
-
-def comparison_tolerance() -> float:
-    """Matrix-entry comparison tolerance; MTCFORGE_TOL overrides 1e-9."""
-    env = os.environ.get("MTCFORGE_TOL")
-    if env:
-        tol = float(env)
-        if tol <= 0:
-            raise ValueError("MTCFORGE_TOL must be positive")
-        return tol
-    return DEFAULT_TOL
 
 
 @dataclass(frozen=True)
@@ -184,44 +173,13 @@ def central_reps_mod2(relations, cs_values: tuple[np.ndarray, int], permute) -> 
     return out
 
 
-def parity_exp_sum(p: int, j: int, l: int, r: int, parity: int) -> complex:
-    """Sum over m of fixed parity in [1, p-1] of the four-term exponential
-    combination (e^{(j+l)mr*pi*i/p} - e^{(j-l)...} - e^{(-j+l)...} + e^{(-j-l)...}).
-
-    The closed-form case analysis requires gcd(r, p) = 1 and r odd;
-    `parity_exp_sum_table` evaluates the defining sum for any r.
-    """
-    if p < 2:
-        raise ValueError("p must be >= 2")
-    if parity not in (0, 1):
-        raise ValueError("parity must be 0 or 1")
-    if gcd(r, p) != 1:
-        raise ValueError("r must be a unit mod p")
-    if r % 2 == 0:
-        raise ValueError("closed form needs odd r")
-    if j % p == 0 or l % p == 0:
-        # at j or l in {0, p} the four exponentials cancel in pairs
-        return 0.0
-    if p % 2 == 1:
-        if j != l:
-            if (j + l) % 2 == 1:
-                return float((-1) ** parity * p) if j + l == p else 0.0
-            return 0.0
-        return float(-p)
-    if j != l:
-        if (j + l) % 2 == 1:
-            return 0.0
-        return float((-1) ** parity * p) if j + l == p else 0.0
-    if parity == 0:
-        return 0.0 if j + l == p else float(-p)
-    return float(-2 * p) if j + l == p else float(-p)
-
-
 def parity_exp_sum_closed(p: int, parity: int) -> np.ndarray:
-    """`parity_exp_sum(p, j, l, r, parity)` for all j, l in [0, p] as one
-    array, by the same case analysis; it holds for every odd unit r.  Off the
-    diagonal the sum is (-1)^parity p at j + l = p and 0 elsewhere, whatever
-    the parity of p; the diagonal adds -p."""
+    """Sum over m of fixed parity in [1, p-1] of the four-term exponential
+    combination (e^{(j+l)mr*pi*i/p} - e^{(j-l)...} - e^{(-j+l)...} + e^{(-j-l)...}),
+    for all j, l in [0, p] as one array, in closed form; it holds for every
+    odd r prime to p (`parity_exp_sum_table` takes any r).  Off the diagonal
+    the sum is (-1)^parity p at j + l = p and 0 elsewhere, whatever the
+    parity of p; the diagonal adds -p."""
     j, l = np.ogrid[:p + 1, :p + 1]
     T = np.where(j + l == p, float((-1) ** parity * p), 0.0) - p * (j == l)
     # at j or l in {0, p} the four exponentials cancel in pairs

@@ -25,7 +25,7 @@ from math import gcd
 
 import numpy as np
 
-from .algebra import BAND_ROWS, RationalPhase, comparison_tolerance, phase_sin, row_bands
+from .algebra import BAND_ROWS, DEFAULT_TOL, RationalPhase, phase_sin, row_bands
 
 
 @dataclass(frozen=True, eq=False)
@@ -115,7 +115,6 @@ class ModularData:
         Otherwise S is stored, and the residual |S[i, j] - S[j, i]| on and
         above the diagonal is taken band by band against the same columns of
         S, so no temporary is larger than one band."""
-        tol = comparison_tolerance()
         r = self.rank
         S = self.__dict__.get("s_tilde", self.__dict__.get("_s_source"))
         if S.shape != (r, r) or len(self.twist_residues) != r \
@@ -142,17 +141,17 @@ class ModularData:
             del A   # a built band is freed before the next one is built
         if covered != r:
             raise ValueError(f"the row bands cover {covered} of {r} rows")
-        if asym > tol * scale:
+        if asym > DEFAULT_TOL * scale:
             raise ValueError("S-matrix not symmetric")
         row0 = self.s_band(slice(0, 1))[0]
-        if abs(row0[0] - 1.0) > tol:
+        if abs(row0[0] - 1.0) > DEFAULT_TOL:
             raise ValueError("S[0,0] must be 1 (unit-normalized)")
-        if np.abs(row0 - self.dims).max() > tol * scale:
+        if np.abs(row0 - self.dims).max() > DEFAULT_TOL * scale:
             raise ValueError("first S row must equal quantum dimensions")
         # candidates report the dim-sum identity through the admissibility
         # check instead; it can genuinely fail for inadmissible label sets
         if require_dim_sum and abs(float(np.sum(self.dims**2)) - self.total_dim_sq) \
-                > tol * max(1.0, self.total_dim_sq):
+                > DEFAULT_TOL * max(1.0, self.total_dim_sq):
             raise ValueError("sum of dims^2 must equal total_dim_sq")
         if self.twist_residues[0] != 0:
             raise ValueError("unit twist must be trivial")
@@ -343,7 +342,6 @@ def find_transparent(D: ModularData) -> ModularityReport:
     """Labels whose S-row is proportional to the dimension row; the data are
     modular exactly when only the unit qualifies.  S is read through
     `s_band`, so a source-backed S is never stored."""
-    tol = comparison_tolerance()
     dev, scale, covered = np.empty(D.rank), 0.0, 0
     for rows in row_bands(D.rank):
         A = D.s_band(rows)
@@ -354,7 +352,7 @@ def find_transparent(D: ModularData) -> ModularityReport:
     # a row no band read would keep the uninitialized value of np.empty
     if covered != D.rank:
         raise ValueError(f"the row bands cover {covered} of {D.rank} rows")
-    transparent = [D.labels[i] for i in np.flatnonzero(dev <= tol * max(scale, 1.0))]
+    transparent = [D.labels[i] for i in np.flatnonzero(dev <= DEFAULT_TOL * max(scale, 1.0))]
     return ModularityReport(transparent == [D.labels[0]], tuple(transparent))
 
 

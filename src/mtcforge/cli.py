@@ -2,8 +2,8 @@
 
 Output formats: json (the full report; round-trips), csv (only the per-label
 table), pretty (human-readable).  Exit codes: 0 success, 1 certification or
-verification failure, 2 invalid input.  The MTCFORGE_TOL environment
-variable overrides the default 1e-9 comparison tolerance.
+verification failure, 2 invalid input.  Comparisons use the one fixed
+tolerance 1e-9 of `algebra.DEFAULT_TOL`.
 """
 
 from __future__ import annotations

@@ -33,9 +33,9 @@ import numpy as np
 
 from . import seifert, torus_bundle
 from .algebra import (
+    DEFAULT_TOL,
     RationalPhase,
     chebyshev_table,
-    comparison_tolerance,
     phase_cos,
     row_bands,
 )
@@ -114,7 +114,7 @@ def _assemble(manifold_tag, manifold, J, labels, cs, torsions, s_tilde, grading,
     data.validate(require_dim_sum=False)
     torsions = np.asarray(torsions, dtype=float)
     if np.abs(np.abs(data.s_tilde[0, :]) ** 2 - D2 / (2.0 * torsions)).max() \
-            > comparison_tolerance() * max(1.0, D2):
+            > DEFAULT_TOL * max(1.0, D2):
         raise AssertionError("|S[0,:]|^2 does not match D^2/(2 Tor)")
     return CandidateData(manifold_tag, manifold, J, labels, *cs, torsions, data, central_actions)
 
@@ -214,7 +214,6 @@ def admissibility_report(C: CandidateData) -> AdmissibilityReport:
     exact Chern-Simons value, same torsion) and s_L is sqrt(2) when the
     relating subgroup contains a fermionic representation.
     """
-    tol = comparison_tolerance()
     inv2tor = 1.0 / (2.0 * C.torsions)
     total = float(inv2tor.sum())
     # x / L is the double of the reduced phase too: division rounds correctly.
@@ -230,7 +229,7 @@ def admissibility_report(C: CandidateData) -> AdmissibilityReport:
     t0 = C.torsions[unit]
     g0 = [(act, kind) for act, kind in zip(acts, classification)
           if cs[act.permutation[unit]] == cs[unit]
-          and abs(C.torsions[act.permutation[unit]] - t0) <= tol * t0]
+          and abs(C.torsions[act.permutation[unit]] - t0) <= DEFAULT_TOL * t0]
     s_X = sorted({act.permutation[unit] for act, _ in g0})
     s_L = math.sqrt(2) if any(kind == "fermionic" for _, kind in g0) else 1.0
     # orbit partition of the label set under the relating subgroup: label i
@@ -249,7 +248,7 @@ def admissibility_report(C: CandidateData) -> AdmissibilityReport:
                 orbits.append(tuple(map(C.labels.__getitem__, orbit)))
         orbits = tuple(orbits)
     target = math.sqrt(len(s_X)) / (s_L * math.sqrt(2.0 * t0))
-    admissible = abs(total - 1.0) < tol and abs(gauss - target) < tol
+    admissible = abs(total - 1.0) < DEFAULT_TOL and abs(gauss - target) < DEFAULT_TOL
     return AdmissibilityReport(
         total, gauss, target, tuple(C.labels[i] for i in s_X), s_L,
         orbits, classification, admissible,
@@ -268,10 +267,9 @@ class Certificate:
 
 def certify(C: CandidateData, D: ModularData) -> Certificate:
     """Entrywise equality certificate between candidate and catalog data:
-    passes when the S-matrices and dimension rows agree within tol and the
-    twists agree exactly.  The total-dimension discrepancy is reported but
-    not gated (it can differ for inadmissible label sets)."""
-    tol = comparison_tolerance()
+    passes when the S-matrices and dimension rows agree within DEFAULT_TOL
+    and the twists agree exactly.  The total-dimension discrepancy is
+    reported but not gated (it can differ for inadmissible label sets)."""
     if C.rank != D.rank:
         raise ValueError(f"rank mismatch: candidate {C.rank}, reference {D.rank}")
     # band by band; a reference whose S is not stored builds each band here.
@@ -289,8 +287,8 @@ def certify(C: CandidateData, D: ModularData) -> Certificate:
     tw = not (C.data.twist_residues * D.twist_den - D.twist_residues * C.data.twist_den).any()
     dd = float(np.abs(C.data.dims - D.dims).max())
     dD2 = float(abs(C.data.total_dim_sq - D.total_dim_sq))
-    passed = bool(covered == C.rank and ds < tol * max(1.0, float(scale)) and tw
-                  and dd < tol * max(1.0, float(np.abs(D.dims).max())))
+    passed = bool(covered == C.rank and ds < DEFAULT_TOL * max(1.0, float(scale)) and tw
+                  and dd < DEFAULT_TOL * max(1.0, float(np.abs(D.dims).max())))
     return Certificate(passed, C.rank, ds, tw, dd, dD2)
 
 

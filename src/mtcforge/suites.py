@@ -466,6 +466,9 @@ ALL_SUITES = {
     "su2-parity": suite_su2_parity,
     "verlinde": suite_verlinde,
 }
+# the suites gated on wall-clock time, which run_suites runs in the calling
+# process once its pool is shut down, so that no busy worker shares the CPU
+TIMED_SUITES = ("rank6-table", "torsion-oracle")
 
 
 def _chunks(items: list, n: int) -> list[list]:
@@ -497,11 +500,12 @@ def run_suites(names=None, *, jobs: int = 1, max_p: int = 9, max_N: int = 13, ma
                lemma_max_p: int = 50, seed: int = 0) -> list[SuiteResult]:
     """Run the named suites (all when names is None); results come in that order.
     The SFS sweep and the torus pass are each computed once, in contiguous
-    chunks, about four per job, beside the suites that read neither pass.  The
-    suites that read them then run in the calling process.  Each suite gets the
+    chunks, about four per job, beside the other suites that read neither
+    pass.  The suites that read them and the TIMED_SUITES then run in the
+    calling process, after the pool has shut down.  Each suite gets the
     bounds and passes its signature names, lemma-sums lemma_max_p as its max_p.
     jobs is capped at os.cpu_count().  With jobs = 1, or work for one worker,
-    all runs in process in the same order."""
+    all runs in process."""
     names = list(ALL_SUITES) if names is None else list(names)
     for name in names:
         if name not in ALL_SUITES:
@@ -513,7 +517,7 @@ def run_suites(names=None, *, jobs: int = 1, max_p: int = 9, max_N: int = 13, ma
                      max_level=max_level, seed=seed, **passes)
         return {k: v for k, v in given.items() if k in params[name]}
 
-    free = [n for n in names if not {"records", "torus"} & params[n].keys()]
+    free = [n for n in names if n not in TIMED_SUITES and not {"records", "torus"} & params[n].keys()]
     sfs = sfs_sweep_instances(max_p) if any("records" in params[n] for n in names) else []
     torus = supported_monodromies(max_N) if any("torus" in params[n] for n in names) else []
     jobs = min(jobs, os.cpu_count() or 1)
@@ -528,5 +532,5 @@ def run_suites(names=None, *, jobs: int = 1, max_p: int = 9, max_N: int = 13, ma
         torus = [pool.submit(torus_records, c) for c in torus]
         passes = dict(records=tuple(r for f in sfs for r in f.result()),
                       torus=tuple(r for f in torus for r in f.result()))
-        return [done[n].result() if n in done else ALL_SUITES[n](**args(n, **passes))
-                for n in names]
+    return [done[n].result() if n in done else ALL_SUITES[n](**args(n, **passes))
+            for n in names]

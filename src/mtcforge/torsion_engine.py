@@ -34,9 +34,9 @@ class BasedChainComplex:
     (dims[i + 1], dims[i]), or (k, dims[i + 1], dims[i]) in a stack.
     Consecutive maps must compose to zero within DEFAULT_TOL * scale**2
     entrywise, where a complex's scale is max(1, max |entry|) over its own
-    boundaries.  A stack, which needs at least one boundary, can be indexed
-    and iterated: its complexes view the stack's boundaries and are not
-    checked again.
+    boundaries.  A stack, which needs at least one boundary, can be
+    indexed: its complexes view the stack's boundaries and are not checked
+    again.
     """
 
     dims: tuple[int, ...]
@@ -76,22 +76,6 @@ class BasedChainComplex:
         object.__setattr__(part, "dims", self.dims)
         object.__setattr__(part, "boundaries", tuple(b[i] for b in self.boundaries))
         return part
-
-    def __iter__(self):
-        if not self.stacked:
-            raise TypeError("only a stack of complexes can be iterated")
-        return (self[i] for i in range(len(self.boundaries[0])))
-
-    @property
-    def top_degree(self) -> int:
-        return len(self.dims) - 1
-
-    def dim(self, degree: int) -> int:
-        return self.dims[self.top_degree - degree]
-
-    def boundary(self, degree: int) -> np.ndarray:
-        """Matrix of d_degree : C_degree -> C_{degree-1} (degree in 1..n)."""
-        return self.boundaries[self.top_degree - degree]
 
 
 def _max_abs(b: np.ndarray) -> np.ndarray:

@@ -285,25 +285,17 @@ def _letter_sums(exponents: tuple[int, ...]) -> tuple[np.ndarray, ...]:
 _BATCH_TERMS = 1 << 18
 
 
-def build_adjoint_complexes(T: TorusMonodromy, chars: list[TorusCharacter],
-                            w: dict[tuple[int, int], int] | None = None) -> BasedChainComplex:
+def build_adjoint_complexes(T: TorusMonodromy, chars: list[TorusCharacter]) -> BasedChainComplex:
     """Twisted cellular complexes (3, 9, 9, 3) of the bundle, as one stack
     with a complex per character, in the order of chars.
 
-    w overrides the connecting chain of the 3-cell; its coefficients must
-    sum to 1, and a choice that breaks d.d = 0 is rejected when the stack
-    is assembled.  Each relator letter and the connecting word are
-    evaluated once for a whole batch of characters, and every product is
-    the one a single character would take, so each complex is bit-equal to
-    the one built alone.
+    The 3-cell's connecting chain is `connecting_word(T)`.  Each relator
+    letter and the connecting word are evaluated once for a whole batch of
+    characters, and every product is the one a single character would take,
+    so each complex is bit-equal to the one built alone.
     """
     _require_supported(T)
-    if w is None:
-        w = connecting_word(T)
-    else:
-        w = dict(w)
-        if sum(w.values()) != 1:
-            raise ValueError("connecting chain coefficients must sum to 1")
+    w = connecting_word(T)
     exps = _exponents(T)
     letter_sums = _letter_sums(tuple(exps[q] for q in _XY))
     # each h sum has one term, as every h exponent is +-1: coefficient c
@@ -353,11 +345,10 @@ def build_adjoint_complexes(T: TorusMonodromy, chars: list[TorusCharacter],
     return BasedChainComplex((3, 9, 9, 3), stacks)
 
 
-def build_adjoint_complex(T: TorusMonodromy, chi: TorusCharacter,
-                          w: dict[tuple[int, int], int] | None = None) -> BasedChainComplex:
+def build_adjoint_complex(T: TorusMonodromy, chi: TorusCharacter) -> BasedChainComplex:
     """The complex of build_adjoint_complexes at one character (a view of a
     stack of one)."""
-    return build_adjoint_complexes(T, [chi], w)[0]
+    return build_adjoint_complexes(T, [chi])[0]
 
 
 def central_reps(T: TorusMonodromy) -> list[CentralRep]:

@@ -10,12 +10,12 @@ equal this one, with the same types.
 import cmath
 import math
 
-from mtcforge.algebra import comparison_tolerance
+from mtcforge.algebra import DEFAULT_TOL
 from mtcforge.pipeline import AdmissibilityReport
 
 
 def admissibility_report(C):
-    tol = comparison_tolerance()
+    tol = DEFAULT_TOL
     inv2tor = 1.0 / (2.0 * C.torsions)
     total = float(inv2tor.sum())
     cs, L = C.cs_residues, C.cs_den

@@ -14,7 +14,6 @@ from mtcforge.algebra import (
     RationalPhase,
     central_reps_mod2,
     chebyshev_table,
-    parity_exp_sum,
     parity_exp_sum_closed,
     parity_exp_sum_table,
     row_bands,
@@ -173,7 +172,43 @@ class TestMod2:
                 assert not ((M @ np.array(v)) % 2).any()
 
 
+def parity_exp_sum(p: int, j: int, l: int, r: int, parity: int) -> float:
+    """Sum over m of fixed parity in [1, p-1] of the four-term exponential
+    combination (e^{(j+l)mr*pi*i/p} - e^{(j-l)...} - e^{(-j+l)...} + e^{(-j-l)...}),
+    one entry at a time, by the case analysis that parity_exp_sum_closed
+    vectorizes.  It requires gcd(r, p) = 1 and r odd; parity_exp_sum_table
+    evaluates the defining sum for any r.
+    """
+    if p < 2:
+        raise ValueError("p must be >= 2")
+    if parity not in (0, 1):
+        raise ValueError("parity must be 0 or 1")
+    if gcd(r, p) != 1:
+        raise ValueError("r must be a unit mod p")
+    if r % 2 == 0:
+        raise ValueError("closed form needs odd r")
+    if j % p == 0 or l % p == 0:
+        # at j or l in {0, p} the four exponentials cancel in pairs
+        return 0.0
+    if p % 2 == 1:
+        if j != l:
+            if (j + l) % 2 == 1:
+                return float((-1) ** parity * p) if j + l == p else 0.0
+            return 0.0
+        return float(-p)
+    if j != l:
+        if (j + l) % 2 == 1:
+            return 0.0
+        return float((-1) ** parity * p) if j + l == p else 0.0
+    if parity == 0:
+        return 0.0 if j + l == p else float(-p)
+    return float(-2 * p) if j + l == p else float(-p)
+
+
 class TestParityExpSum:
+    """The scalar case analysis against the literal sums, and the array form
+    the product runs against the scalar one."""
+
     def test_odd_p_diagonal(self):
         # p odd, j == l
         for p, j in [(9, 2), (7, 3), (15, 8)]:

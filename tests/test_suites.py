@@ -3,6 +3,8 @@ one run_suites call builds each pass once, and the pool workers it starts
 use one BLAS thread each."""
 
 import ctypes
+import functools
+import multiprocessing
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
@@ -103,6 +105,35 @@ def test_jobs_capped_at_cpu_count(monkeypatch):
     assert opened == [2]
     assert [(r.passed, r.cases) for r in res] == \
         [(r.passed, r.cases) for r in suites.run_suites(names, max_p=4, max_N=9)]
+
+
+def test_timed_suites_run_in_the_caller_after_the_pool(monkeypatch):
+    # a wall-clock gate must not time its suite beside a busy pool worker
+    ran = {}
+    opened = []
+
+    def recording(name, suite):
+        @functools.wraps(suite)
+        def run(*args, **kwargs):
+            ran[name] = os.getpid(), len(multiprocessing.active_children())
+            return suite(*args, **kwargs)
+        return run
+
+    class RecordingPool(ProcessPoolExecutor):
+        def __init__(self, max_workers, **kwargs):
+            opened.append(max_workers)
+            super().__init__(max_workers, **kwargs)
+
+    for name in suites.TIMED_SUITES:
+        monkeypatch.setitem(suites.ALL_SUITES, name, recording(name, suites.ALL_SUITES[name]))
+    monkeypatch.setattr(suites, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    names = ["torsion-oracle", "lemma-sums", "rank6-table", "su2-parity"]
+    res = suites.run_suites(names, jobs=2, lemma_max_p=10, max_level=3)
+    assert [r.name for r in res] == names and res[1].passed and res[3].passed
+    assert opened == [2]
+    # in this process, with no pool worker alive
+    assert ran == {"torsion-oracle": (os.getpid(), 0), "rank6-table": (os.getpid(), 0)}
 
 
 def _blas_threads():
