@@ -6,7 +6,7 @@ Anosov torus bundles; the results are certified against independently built
 premodular categories and a generic chain-complex torsion oracle.
 """
 
-from .algebra import PHASE_HALF, PHASE_ZERO, RationalPhase
+from .algebra import RationalPhase
 from .catalog import (
     ModularData,
     ModularityReport,
@@ -29,9 +29,7 @@ from .pipeline import (
 )
 from .seifert import (
     SeifertData,
-    SfsCharacter,
     central_reps,
-    enumerate_characters,
     make_sfs,
     z2_homology_sphere,
 )

@@ -89,19 +89,13 @@ class RationalPhase:
         return f"{self.numerator}/{self.denominator}"
 
 
-PHASE_ZERO = RationalPhase(0, 1)
-PHASE_HALF = RationalPhase(1, 2)
+def phase_cos(t: RationalPhase) -> float:
+    """2cos(2*pi*t), from the reduced angle of the phase."""
+    return 2 * math.cos(2 * math.pi * t.numerator / t.denominator)
 
 
-def phase_cos(t: Fraction | RationalPhase) -> float:
-    """2cos(2*pi*t) with the angle reduced exactly mod 1 first."""
-    f = t if isinstance(t, RationalPhase) else RationalPhase.of(t)
-    return 2 * math.cos(2 * math.pi * f.numerator / f.denominator)
-
-
-def phase_sin(t: Fraction | RationalPhase) -> float:
-    f = t if isinstance(t, RationalPhase) else RationalPhase.of(t)
-    return math.sin(2 * math.pi * f.numerator / f.denominator)
+def phase_sin(t: RationalPhase) -> float:
+    return math.sin(2 * math.pi * t.numerator / t.denominator)
 
 
 def chebyshev_table(degrees: int, ts: np.ndarray) -> np.ndarray:
@@ -123,12 +117,13 @@ def chebyshev_table(degrees: int, ts: np.ndarray) -> np.ndarray:
 @dataclass(frozen=True, eq=False)
 class CentralRep:
     """A homomorphism to the center, recorded as F_2 exponents on the
-    generators, with the permutation it induces on the character list and
-    the exact per-label Chern-Simons differences cs[perm[i]] - cs[i], as
-    int64 residues mod cs_den."""
+    generators, with the permutation it induces on the character list, an
+    int64 array perm with label i sent to perm[i], and the exact per-label
+    Chern-Simons differences cs[perm[i]] - cs[i], as int64 residues mod
+    cs_den."""
 
     sigma: tuple[int, ...]
-    permutation: tuple[int, ...]
+    permutation: np.ndarray
     cs_diffs: np.ndarray
     cs_den: int
 
@@ -160,16 +155,17 @@ def central_reps_mod2(relations, cs_values: tuple[np.ndarray, int], permute) -> 
     for labels with Chern-Simons values cs_values, a (residues, den) pair.  All
     2^w exponent vectors on the w generators are tested at once, once per
     relation matrix; the solutions come in increasing sum_i sigma_i 2^i,
-    trivial first.  permute(sigma) gives the induced label permutation; it is
-    not called for the trivial representation, which acts as the identity."""
+    trivial first.  permute(sigma) gives the induced label permutation as an
+    int64 array; it is not called for the trivial representation, which acts
+    as the identity."""
     R = np.asarray(relations, dtype=np.uint8) % 2
     trivial, *sigmas = _kernel_mod2(R.tobytes(), R.shape[1])
     cs, den = cs_values
     n = len(cs)
-    out = [CentralRep(trivial, tuple(range(n)), np.zeros(n, dtype=np.int64), den)]
+    out = [CentralRep(trivial, np.arange(n, dtype=np.int64), np.zeros(n, dtype=np.int64), den)]
     for sigma in sigmas:
-        perm = np.asarray(permute(sigma))
-        out.append(CentralRep(sigma, tuple(perm.tolist()), (cs[perm] - cs) % den, den))
+        perm = np.asarray(permute(sigma), dtype=np.int64)
+        out.append(CentralRep(sigma, perm, (cs[perm] - cs) % den, den))
     return out
 
 

@@ -48,17 +48,22 @@ from .torus_bundle import TorusMonodromy
 class CandidateData:
     """Residue contract: label i has Chern-Simons value cs_residues[i] / cs_den
     in Q/Z.  J is a Seifert space's int64 (rank, 3) degree rows, None for a
-    torus bundle.  `characters` and `cs` are built on first access."""
+    torus bundle.  `labels` are those of `data`.  `characters` and `cs` are
+    built on first access: a Seifert character is its degree row, as a tuple
+    of three ints, and a torus-bundle character a `TorusCharacter`."""
 
     manifold_tag: str
     manifold: object
     J: np.ndarray | None
-    labels: tuple[str, ...]
     cs_residues: np.ndarray
     cs_den: int
     torsions: np.ndarray
     data: ModularData
     central_actions: tuple
+
+    @property
+    def labels(self) -> tuple[str, ...]:
+        return self.data.labels
 
     @property
     def rank(self) -> int:
@@ -68,7 +73,7 @@ class CandidateData:
     def characters(self) -> tuple:
         if self.J is None:
             return tuple(torus_bundle.enumerate_torus_characters(self.manifold))
-        return tuple(seifert._characters(self.manifold, self.J))
+        return tuple(map(tuple, self.J.tolist()))
 
     @cached_property
     def cs(self) -> tuple[RationalPhase, ...]:
@@ -116,7 +121,7 @@ def _assemble(manifold_tag, manifold, J, labels, cs, torsions, s_tilde, grading,
     if np.abs(np.abs(data.s_tilde[0, :]) ** 2 - D2 / (2.0 * torsions)).max() \
             > DEFAULT_TOL * max(1.0, D2):
         raise AssertionError("|S[0,:]|^2 does not match D^2/(2 Tor)")
-    return CandidateData(manifold_tag, manifold, J, labels, *cs, torsions, data, central_actions)
+    return CandidateData(manifold_tag, manifold, J, *cs, torsions, data, central_actions)
 
 
 def sfs_candidate(M: SeifertData, unit: str = "canonical") -> CandidateData:
@@ -239,7 +244,7 @@ def admissibility_report(C: CandidateData) -> AdmissibilityReport:
     if not moved:
         orbits = tuple(zip(C.labels))
     else:
-        images = np.sort(np.array([range(C.rank), *moved]), axis=0).T.tolist()
+        images = np.sort(np.stack([np.arange(C.rank), *moved]), axis=0).T.tolist()
         seen, orbits = set(), []
         for i, row in enumerate(images):
             if i not in seen:

@@ -1,7 +1,7 @@
 """Seifert fibered spaces over S^2 with three singular fibers.
 
 Covers the genus-0, three-fiber surgery presentations: fiber constants and
-Kauffman-variable phases, the non-Abelian character list, closed-form
+Kauffman-variable phases, the non-Abelian characters as degree rows, closed-form
 Chern-Simons and adjoint-torsion values, the mod-2 homology test, and the
 action of central representations on the character list.
 """
@@ -10,22 +10,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import chain, product
 from math import gcd
 
 import numpy as np
 
-from .algebra import (
-    PHASE_HALF,
-    PHASE_ZERO,
-    CentralRep,
-    RationalPhase,
-    central_reps_mod2,
-    chebyshev_table,
-    phase_cos,
-)
+from .algebra import CentralRep, RationalPhase, central_reps_mod2, chebyshev_table, phase_cos
 
 
 @dataclass(frozen=True)
@@ -156,46 +147,16 @@ def make_sfs(pairs) -> SeifertData:
     return SeifertData(tuple(_fiber(p, q) for p, q in pairs))
 
 
-@dataclass(frozen=True)
-class SfsCharacter:
-    """Non-Abelian character indexed by degrees j = (j1, j2, j3).
-
-    lam is the central holonomy exponent (h acts as e^{2*pi*i*lam} I) and
-    n_k the rotation numbers: the k-th generator has eigenvalues
-    e^{+-2*pi*i*n_k/p_k}.
-    """
-
-    j: tuple[int, int, int]
-    lam: RationalPhase
-    n: tuple[Fraction, Fraction, Fraction]
-
-
-def _n_tables(M: SeifertData) -> list[list[Fraction]]:
-    return [[Fraction(m, 2) for m in f.twice_n.tolist()] for f in M.fibers]
-
-
-def _character(ns: list[list[Fraction]], j: tuple[int, int, int]) -> SfsCharacter:
-    lam = PHASE_HALF if j[0] % 2 == 0 else PHASE_ZERO
-    return SfsCharacter(j, lam, tuple(n[jk] for n, jk in zip(ns, j)))
-
-
 def _degree_rows(M: SeifertData) -> np.ndarray:
-    """Degree rows of all characters, int64 (rank, 3): even block, then odd, each lexicographic."""
+    """Degree rows j = (j1, j2, j3) of all non-Abelian characters, int64
+    (rank, 3): even block, then odd, each lexicographic.  A row is the
+    character: its rotation numbers n_k are the fibers' `twice_n[j_k] / 2`,
+    and h acts as -I on the even block and as I on the odd one."""
     evens = [range(0, f.p - 1, 2) for f in M.fibers]
     odds = [range(1, f.p - 1, 2) for f in M.fibers]
     n = math.prod(map(len, evens)) + math.prod(map(len, odds))
     rows = chain.from_iterable(chain(product(*evens), product(*odds)))
     return np.fromiter(rows, np.int64, 3 * n).reshape(n, 3)
-
-
-def _characters(M: SeifertData, J: np.ndarray) -> list[SfsCharacter]:
-    ns = _n_tables(M)
-    return [_character(ns, j) for j in map(tuple, J.tolist())]
-
-
-def enumerate_characters(M: SeifertData) -> list[SfsCharacter]:
-    """All non-Abelian characters, in the order of _degree_rows."""
-    return _characters(M, _degree_rows(M))
 
 
 def character_count(M: SeifertData) -> int:
@@ -235,14 +196,16 @@ def relation_matrix_mod2(M: SeifertData) -> np.ndarray:
     return rows
 
 
-def central_reps(M: SeifertData, chars: list[SfsCharacter] | None = None,
+def central_reps(M: SeifertData, chars: list[tuple[int, int, int]] | None = None,
                  cs_values: list[RationalPhase] | None = None) -> list[CentralRep]:
-    """All central representations with their induced label permutations.
+    """All central representations with their induced label permutations,
+    on the characters with degree rows chars (all of them by default) and
+    CS values cs_values (computed by default).
 
     Solves p_k s(x_k) + q_k s(h) = 0, s(x1)+s(x2)+s(x3) = 0 over F_2.
     Raises if a twist would carry a label outside the candidate set.
     """
-    J = _degree_rows(M) if chars is None else np.array([c.j for c in chars])
+    J = _degree_rows(M) if chars is None else np.array(chars, dtype=np.int64).reshape(-1, 3)
     cs = _label_tables(M, J)[:2] if cs_values is None else RationalPhase.residues(cs_values)
     return _central_reps(M, J, cs)
 

@@ -19,7 +19,6 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import chain
 from math import gcd
 
@@ -263,20 +262,15 @@ def _exponents(T: TorusMonodromy) -> list[int]:
     return [1, 1, -1, -1, -1, 1, 1, -T.c, -T.a, 1, T.b, T.d, -1, -1]
 
 
-@lru_cache(maxsize=64)
-def _letter_sums(exponents: tuple[int, ...]) -> tuple[np.ndarray, ...]:
+def _letter_sums(exponents: list[int]) -> tuple[np.ndarray, ...]:
     """(i, j, c) rows for ev, for the x and y letters g^p: row r holds the
     Fox derivative s_p(g) of the r-th letter (terms g^t for t < p, or
-    -g^-(t+1) for t < -p, as in _geometric) and row len(p) + r the power.
-    Cached, read-only: one-character builds of a bundle share the rows."""
+    -g^-(t+1) for t < -p, as in _geometric) and row len(p) + r the power."""
     p = np.array(exponents, dtype=np.int64)[:, None]
     t = np.arange(max(1, int(np.abs(p).max())))
     e = np.concatenate([np.where(p >= 0, t, -1 - t), p * (t == 0)])
     c = np.concatenate([np.sign(p) * (t < abs(p)), np.broadcast_to(t == 0, p.shape[:1] + t.shape)])
-    out = np.where(_IS_X, e, 0), np.where(_IS_X, 0, e), c
-    for a in out:
-        a.setflags(write=False)
-    return out
+    return np.where(_IS_X, e, 0), np.where(_IS_X, 0, e), c
 
 
 # A bundle's characters are built in batches of at most this many character
@@ -297,7 +291,7 @@ def build_adjoint_complexes(T: TorusMonodromy, chars: list[TorusCharacter]) -> B
     _require_supported(T)
     w = connecting_word(T)
     exps = _exponents(T)
-    letter_sums = _letter_sums(tuple(exps[q] for q in _XY))
+    letter_sums = _letter_sums([exps[q] for q in _XY])
     # each h sum has one term, as every h exponent is +-1: coefficient c
     # times the antipoded image of h^e
     h_terms = [_geometric(exps[q])[0] for q in _H] + [(exps[q], 1) for q in _H]

@@ -13,7 +13,7 @@ from mtcforge.algebra import RationalPhase, phase_sin
 def quantum_integer(A: RationalPhase, n: int) -> float:
     """[n] at Kauffman variable e^{2*pi*i*A}, as an exact sine ratio."""
     t = A.as_fraction()
-    return phase_sin(2 * n * t) / phase_sin(2 * t)
+    return phase_sin(RationalPhase.of(2 * n * t)) / phase_sin(RationalPhase.of(2 * t))
 
 
 def tlj_dim(A: RationalPhase, j: int) -> float:
@@ -24,10 +24,11 @@ def tlj_dim(A: RationalPhase, j: int) -> float:
     return (-1) ** j * num / denom
 
 
-def quantum_dimension(M, chi) -> float:
-    """Signed product of the per-fiber Kauffman quantum dimensions."""
+def quantum_dimension(M, j) -> float:
+    """Signed product of the per-fiber Kauffman quantum dimensions of the
+    character with degree row j."""
     out = 1.0
-    for f, jk in zip(M.fibers, chi.j):
+    for f, jk in zip(M.fibers, j):
         out *= tlj_dim(f.A, jk)
     return out
 
@@ -41,7 +42,7 @@ def total_dim(A_phase: RationalPhase) -> float:
     """sqrt(2r)/|A^2 - A^-2| for the Kauffman data at A."""
     t = A_phase.as_fraction()
     r = a4_order(A_phase)
-    return math.sqrt(2 * r) / abs(2 * phase_sin(2 * t))
+    return math.sqrt(2 * r) / abs(2 * phase_sin(RationalPhase.of(2 * t)))
 
 
 def tlj_twists(A_phase: RationalPhase) -> tuple[RationalPhase, ...]:

@@ -14,15 +14,18 @@ paper, never from a candidate:
 - torus bundle: (x^{m k}, degree 1) on rho_k and (x, degree 0) on rho+-,
   epsilon = +1.
 
-`torus_cs` is the closed-form Chern-Simons value of a torus-bundle
-character, for checking the candidate's residue table.
+A Seifert character is its degree row j = (j1, j2, j3); `sfs_degree_rows`
+lists them and `sfs_holonomy` gives their rotation numbers and central
+holonomy, both from (p, q, j) alone.  `torus_cs` is the closed-form
+Chern-Simons value of a torus-bundle character, for checking the
+candidate's residue table.
 """
 
 import math
 from fractions import Fraction
+from itertools import product
 
 from mtcforge.algebra import RationalPhase, phase_cos
-from mtcforge.seifert import enumerate_characters
 from mtcforge.torus_bundle import enumerate_torus_characters
 
 
@@ -33,6 +36,25 @@ def chebyshev(j, t):
     for _ in range(j):
         prev, cur = cur, t * cur - prev
     return prev
+
+
+def sfs_degree_rows(M):
+    """Degree rows of the non-Abelian characters, 0 <= j_k <= p_k - 2 all of
+    one parity: the even block, then the odd one, each lexicographic."""
+    rows = [j for j in product(*(range(p - 1) for p in M.p)) if len({x % 2 for x in j}) == 1]
+    return sorted(rows, key=lambda j: (j[0] % 2, j))
+
+
+def sfs_holonomy(M, j):
+    """(n, lam) of the character with degree row j: h acts as
+    e^{2 pi i lam} I, lam = 1/2 on the even block and 0 on the odd one, and
+    the k-th generator has eigenvalues e^{+-2 pi i n_k / p_k}, with
+    n_k = (j_k + 1) / 2, or (p_k - 1 - j_k) / 2 at an even degree on a fiber
+    with even q_k."""
+    lam = Fraction(1, 2) if j[0] % 2 == 0 else Fraction(0)
+    n = tuple(Fraction(p - 1 - jk if q % 2 == 0 and jk % 2 == 0 else jk + 1, 2)
+              for p, q, jk in zip(M.p, M.q, j))
+    return n, lam
 
 
 def torus_cs(T, chi):
@@ -50,16 +72,16 @@ def _weights(chars, ops, trace, epsilon):
 
 
 def sfs_weights(M, unit="canonical"):
-    chars = enumerate_characters(M)
+    chars = sfs_degree_rows(M)
     if unit == "reseated":
-        chars.sort(key=lambda chi: -chi.j[2])
+        chars.sort(key=lambda j: -j[2])
         ops = [[(2, 1, j)] for j in range(M.p[2] - 1)]
     else:
-        ops = [[(k, f.c, chi.j[k]) for k, f in enumerate(M.fibers)] for chi in chars]
+        ops = [[(k, f.c, j[k]) for k, f in enumerate(M.fibers)] for j in chars]
 
-    def trace(chi, k, e):
+    def trace(j, k, e):
         # x_k has eigenvalues e^{+-2 pi i n_k / p_k}
-        return phase_cos(Fraction(chi.n[k] * e, M.fibers[k].p))
+        return phase_cos(RationalPhase.of(sfs_holonomy(M, j)[0][k] * e / M.p[k]))
 
     return _weights(chars, ops, trace, -1)
 
@@ -71,7 +93,7 @@ def torus_weights(T):
     def trace(chi, _, e):
         # x is diagonal at rho_k and unipotent at rho+-
         if chi.kind == "irreducible":
-            return phase_cos(Fraction(chi.k * e, T.N))
+            return phase_cos(RationalPhase.of(chi.k * e, T.N))
         return 2.0
 
     return _weights(chars, ops, trace, +1)

@@ -11,7 +11,7 @@ import pytest
 
 import admissibility_oracle
 import one_shot_oracle
-from loop_operator_oracle import s_matrix, sfs_weights, torus_cs, torus_weights
+from loop_operator_oracle import s_matrix, sfs_degree_rows, sfs_weights, torus_cs, torus_weights
 from mtcforge import catalog, cli, pipeline, suites
 from mtcforge.algebra import BAND_ROWS, RationalPhase, phase_cos
 from mtcforge.catalog import (
@@ -31,7 +31,7 @@ from mtcforge.pipeline import (
     sl2z_diagnostics,
     torus_candidate,
 )
-from mtcforge.seifert import character_count, enumerate_characters, make_sfs, z2_homology_sphere
+from mtcforge.seifert import character_count, make_sfs, z2_homology_sphere
 from mtcforge.torus_bundle import central_reps, enumerate_torus_characters, make_torus_bundle
 
 
@@ -504,7 +504,7 @@ class TestLazyViews:
         for r in range(2, 13):
             M = make_sfs([(3, 1), (3, 1), (r, 1)])
             C = sfs_candidate(M, unit="reseated")
-            by_j = {c.j[2]: c for c in enumerate_characters(M)}
+            by_j = {j[2]: j for j in sfs_degree_rows(M)}
             assert C.characters == tuple(by_j[r - 2 - j] for j in range(r - 1))
 
     def test_torus_views(self):

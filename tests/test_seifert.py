@@ -9,15 +9,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kauffman_closed_forms import a4_order, quantum_dimension, total_dim
+from loop_operator_oracle import sfs_degree_rows, sfs_holonomy
 from mtcforge import seifert
-from mtcforge.algebra import PHASE_HALF, PHASE_ZERO, RationalPhase
+from mtcforge.algebra import RationalPhase
 from mtcforge.catalog import graded_product, tlj_data
 from mtcforge.pipeline import sfs_candidate
 from mtcforge.seifert import (
     SeifertData,
     central_reps,
     character_count,
-    enumerate_characters,
     make_sfs,
     relation_matrix_mod2,
     z2_homology_sphere,
@@ -100,40 +100,50 @@ class TestEnumeration:
     ])
     def test_counts(self, pairs, count):
         M = make_sfs(pairs)
-        chars = enumerate_characters(M)
-        assert len(chars) == count == character_count(M)
+        chars = sfs_candidate(M).characters
+        assert len(chars) == count == character_count(M) == len(sfs_degree_rows(M))
 
     def test_block_order(self):
         M = make_sfs([(5, 1), (4, 1), (3, 1)])
-        chars = enumerate_characters(M)
-        parities = [c.j[0] % 2 for c in chars]
+        chars = sfs_candidate(M).characters
+        parities = [j[0] % 2 for j in chars]
         # even block first, then odd, each lexicographic
         assert parities == sorted(parities)
-        evens = [c.j for c in chars if c.j[0] % 2 == 0]
+        evens = [j for j in chars if j[0] % 2 == 0]
         assert evens == sorted(evens)
+        assert list(chars) == sfs_degree_rows(M)
 
     def test_parity_and_lambda(self):
+        # each fiber's rotation-number table against the rule of the paper,
+        # and that rule against the relation x_k^{p_k} h^{q_k} = 1, whose
+        # eigenvalue e^{2 pi i (n_k + q_k lam)} must be 1
         for M in small_sweep(5):
-            for c in enumerate_characters(M):
-                assert len({j % 2 for j in c.j}) == 1
-                assert c.lam == (PHASE_HALF if c.j[0] % 2 == 0 else PHASE_ZERO)
-                for f, nk in zip(M.fibers, c.n):
+            keys = set()
+            for j in sfs_candidate(M).characters:
+                assert len({jk % 2 for jk in j}) == 1
+                n, lam = sfs_holonomy(M, j)
+                keys.add((n, lam))
+                for f, jk, nk in zip(M.fibers, j, n):
+                    assert f.twice_n[jk] == 2 * nk
                     assert 0 < nk < Fraction(f.p, 2)
+                    assert (nk + f.q * lam).denominator == 1
+            assert len(keys) == character_count(M)
 
 
-def cs_from_rotation_numbers(M, chi):
+def cs_from_rotation_numbers(M, j):
     """Independent oracle: the holonomy-data form of the flat-connection
     invariant, sum r_k n_k^2 / p_k (minus q_k s_k / 4 when h maps to -I)."""
+    n, lam = sfs_holonomy(M, j)
     total = Fraction(0)
-    for f, nk in zip(M.fibers, chi.n):
+    for f, nk in zip(M.fibers, n):
         total += Fraction(f.r) * nk * nk / f.p
-        if chi.lam == PHASE_HALF:
+        if lam:
             total -= Fraction(f.q * f.s, 4)
     return RationalPhase.of(total)
 
 
 def label_rows(M):
-    """(character, CS value, torsion) of each label of M's canonical candidate."""
+    """(degree row, CS value, torsion) of each label of M's canonical candidate."""
     C = sfs_candidate(M)
     return list(zip(C.characters, C.cs, C.torsions.tolist()))
 
@@ -141,8 +151,8 @@ def label_rows(M):
 class TestChernSimons:
     def test_matches_rotation_number_form(self):
         for M in small_sweep(6):
-            for chi, cs, _ in label_rows(M):
-                assert cs == cs_from_rotation_numbers(M, chi)
+            for j, cs, _ in label_rows(M):
+                assert cs == cs_from_rotation_numbers(M, j)
 
     def test_unit_value_of_rank_one_family(self):
         for r in (2, 4, 7):
@@ -153,7 +163,7 @@ class TestChernSimons:
     def test_twist_relation_m4(self):
         # twists of the (3,1),(3,1),(4,1) family: j(j+2)/4r plus 1/2 for odd j
         M = make_sfs([(3, 1), (3, 1), (4, 1)])
-        by_j = {chi.j[2]: cs for chi, cs, _ in label_rows(M)}
+        by_j = {j[2]: cs for j, cs, _ in label_rows(M)}
         for j, cs in by_j.items():
             twist = RationalPhase.of(by_j[0].as_fraction() - cs.as_fraction())
             want = RationalPhase.of(Fraction(j * (j + 2), 16) + Fraction(j % 2, 2))
@@ -165,8 +175,8 @@ class TestChernSimons:
         for M in small_sweep(6):
             minus_A = [f.A.as_fraction() + Fraction(1, 2) for f in M.fibers]
             global_phase = sum(minus_A)
-            for chi, cs, _ in label_rows(M):
-                twists = sum(a * (jk * (jk + 2)) for a, jk in zip(minus_A, chi.j))
+            for j, cs, _ in label_rows(M):
+                twists = sum(a * (jk * (jk + 2)) for a, jk in zip(minus_A, j))
                 assert RationalPhase.of(-cs.as_fraction()) == RationalPhase.of(global_phase + twists)
 
     def test_denominator_divides_four_lcm(self):
@@ -198,26 +208,27 @@ def coprime_pair(max_p):
         st.just(p), st.integers(-2 * p, 2 * p).filter(lambda q: gcd(p, q) == 1)))
 
 
-def fraction_torsion(M, chi):
+def fraction_torsion(M, j):
     """The closed form p1 p2 p3 / prod_k 4 sin^2(2 pi r_k n_k / p_k), from the
     rational rotation numbers."""
     out = 1.0
-    for f, nk in zip(M.fibers, chi.n):
+    for f, nk in zip(M.fibers, sfs_holonomy(M, j)[0]):
         s = math.sin(2 * math.pi * float((f.r * nk) % f.p) / f.p)
         out *= f.p / (4 * s * s)
     return out
 
 
-def fraction_action(M, chi, sigma):
+def fraction_action(M, j, sigma):
     """Image key (n, lam) of a character under a central twist: each twisted
     n_k moves by p_k/2 mod p_k and folds back into [0, p_k/2]."""
+    n, lam = sfs_holonomy(M, j)
     ns = []
-    for f, nk, sk in zip(M.fibers, chi.n, sigma[:3]):
+    for f, nk, sk in zip(M.fibers, n, sigma[:3]):
         if sk:
             nk = (nk + Fraction(f.p, 2)) % f.p
             nk = min(nk, f.p - nk)
         ns.append(nk)
-    return tuple(ns), (chi.lam.as_fraction() + Fraction(sigma[3], 2)) % 1
+    return tuple(ns), (lam + Fraction(sigma[3], 2)) % 1
 
 
 class TestIntegerCandidate:
@@ -230,17 +241,17 @@ class TestIntegerCandidate:
         M = make_sfs(pairs)
         C = sfs_candidate(M)
         chars = C.characters
-        assert list(C.cs) == [cs_from_rotation_numbers(M, chi) for chi in chars]
+        assert list(C.cs) == [cs_from_rotation_numbers(M, j) for j in chars]
         cs0 = C.cs[0].as_fraction()
         for tw, cs in zip(C.data.twists, C.cs):
             want = -(cs.as_fraction() - cs0) % 1
             assert (tw.numerator, tw.denominator) == (want.numerator, want.denominator)
-        want = [fraction_torsion(M, chi) for chi in chars]
+        want = [fraction_torsion(M, j) for j in chars]
         assert C.torsions == pytest.approx(want, rel=1e-12)
-        index = {(chi.n, chi.lam.as_fraction()): i for i, chi in enumerate(chars)}
+        index = {sfs_holonomy(M, j): i for i, j in enumerate(chars)}
         for rep in C.central_actions:
-            assert rep.permutation == tuple(
-                index[fraction_action(M, chi, rep.sigma)] for chi in chars)
+            assert rep.permutation.dtype == np.int64
+            assert rep.permutation.tolist() == [index[fraction_action(M, j, rep.sigma)] for j in chars]
 
     @given(st.tuples(coprime_pair(19), coprime_pair(19), coprime_pair(19)))
     @settings(max_examples=30, deadline=None)
@@ -252,14 +263,14 @@ class TestIntegerCandidate:
             assert res.dtype == np.int64 and ((0 <= res) & (res < den)).all()
             return [RationalPhase.of(x, den) for x in res.tolist()]
 
-        cs = [cs_from_rotation_numbers(M, chi) for chi in enumerate_characters(M)]
+        cs = [cs_from_rotation_numbers(M, j) for j in sfs_degree_rows(M)]
         assert phases(C.cs_residues, C.cs_den) == cs
         # differences and sums in Fraction, one conversion each
         fr = [c.as_fraction() for c in cs]
         assert phases(C.data.twist_residues, C.data.twist_den) == [RationalPhase.of(fr[0] - c) for c in fr]
         for rep in C.central_actions:
             assert phases(rep.cs_diffs, rep.cs_den) == [RationalPhase.of(fr[j] - c)
-                                                        for j, c in zip(rep.permutation, fr)]
+                                                        for j, c in zip(rep.permutation.tolist(), fr)]
         # the reference's graded products, against phase sums over the label pairs
         X, Y, Z = (tlj_data(f.A) for f in M.fibers)
         for P, Q in ((X, Y), (graded_product(X, Y), Z)):
@@ -274,9 +285,9 @@ class TestIntegerCandidate:
     def test_lazy_views_match_scalar_forms(self, pairs):
         M = make_sfs(pairs)
         C = sfs_candidate(M)
-        chars = enumerate_characters(M)
+        chars = sfs_degree_rows(M)
         assert C.characters == tuple(chars)
-        assert C.cs == tuple(cs_from_rotation_numbers(M, chi) for chi in chars)
+        assert C.cs == tuple(cs_from_rotation_numbers(M, j) for j in chars)
         assert C.characters is C.characters and C.cs is C.cs
 
 
@@ -295,9 +306,9 @@ class TestTorsion:
 
     def test_invariant_under_euclid_shift(self):
         for M in small_sweep(5):
-            for chi, _, tor in label_rows(M):
+            for j, _, tor in label_rows(M):
                 t = 1.0
-                for f, nk in zip(M.fibers, chi.n):
+                for f, nk in zip(M.fibers, sfs_holonomy(M, j)[0]):
                     s = math.sin(2 * math.pi * float(((f.r + f.p) * nk) % f.p) / f.p)
                     t *= f.p / (4 * s * s)
                 assert t == pytest.approx(tor, rel=1e-12)
@@ -306,9 +317,9 @@ class TestTorsion:
         # (2 Tor)^(-1/2) = |prod_k d_{j_k}(A_k)| / D
         for M in small_sweep(6):
             D = math.prod(total_dim(f.A) for f in M.fibers) / 2
-            for chi, _, tor in label_rows(M):
+            for j, _, tor in label_rows(M):
                 lhs = (2 * tor) ** -0.5
-                rhs = abs(quantum_dimension(M, chi)) / D
+                rhs = abs(quantum_dimension(M, j)) / D
                 assert lhs == pytest.approx(rhs, rel=1e-10)
 
     def test_inverse_sum_is_one(self):
@@ -350,7 +361,7 @@ class TestCentralReps:
         M = make_sfs([(3, 1), (3, 1), (3, 2)])
         reps = central_reps(M)
         triv = next(r for r in reps if r.is_trivial)
-        assert triv.permutation == tuple(range(character_count(M)))
+        assert triv.permutation.tolist() == list(range(character_count(M)))
         assert not triv.cs_diffs.any()
 
     def test_non_sphere_has_nontrivial(self):
@@ -365,15 +376,34 @@ class TestCentralReps:
 
     def test_twist_leaving_label_set_raises(self):
         M = make_sfs([(3, 1), (3, 1), (3, 2)])
-        chars = enumerate_characters(M)
+        chars = sfs_candidate(M).characters
         for part in (chars[1:], chars[:-1]):
             with pytest.raises(ValueError, match="leaves the candidate label set"):
                 central_reps(M, part)
 
+    @pytest.mark.parametrize("pairs", [[(3, 1), (3, 1), (3, 2)], [(2, 1), (4, 1), (6, 1)],
+                                       [(5, 1), (3, 2), (5, 4)]])
+    def test_given_labels_match_candidate_actions(self, pairs):
+        # the benchmark times central_reps on the candidate's degree rows and
+        # CS phases; it must compute the candidate's own actions.  The phases
+        # come back over the lcm of their reduced denominators, which divides
+        # the candidate's lcm(4 p_k): the residues agree once rescaled
+        M = make_sfs(pairs)
+        C = sfs_candidate(M)
+        reps = central_reps(M, list(C.characters), list(C.cs))
+        assert len(reps) == len(C.central_actions)
+        assert (len(reps) == 1) == z2_homology_sphere(M)
+        for got, want in zip(reps, C.central_actions, strict=True):
+            assert got.sigma == want.sigma
+            assert got.permutation.dtype == np.int64
+            assert np.array_equal(got.permutation, want.permutation)
+            assert want.cs_den % got.cs_den == 0
+            assert np.array_equal(got.cs_diffs * (want.cs_den // got.cs_den), want.cs_diffs)
+
     def test_action_stays_in_label_set(self):
         for M in small_sweep(6):
             for rep in central_reps(M):
-                perm = rep.permutation
+                perm = rep.permutation.tolist()
                 assert sorted(perm) == list(range(len(perm)))
 
 
@@ -390,7 +420,7 @@ class TestFiberMemo:
     def snapshot(C):
         return (C.labels, C.data.s_tilde.tobytes(), C.cs_residues.tobytes(), C.cs_den,
                 C.torsions.tobytes(), C.data.twist_residues.tobytes(), C.data.grading,
-                [(a.sigma, a.permutation, a.cs_diffs.tobytes(), a.cs_den)
+                [(a.sigma, a.permutation.tobytes(), a.cs_diffs.tobytes(), a.cs_den)
                  for a in C.central_actions])
 
     @pytest.mark.parametrize("pairs,unit", CASES)

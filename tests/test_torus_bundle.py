@@ -291,5 +291,5 @@ class TestCentralStructure:
         assert len(reps) == 2
         nontriv = next(r for r in reps if not r.is_trivial)
         assert nontriv.sigma == (0, 0, 1)
-        assert nontriv.permutation[:2] == (1, 0)
+        assert nontriv.permutation.tolist()[:2] == [1, 0]
         assert nontriv.is_bosonic
