@@ -36,6 +36,8 @@ EXIT_BAD_INPUT = 2
 
 # the library has no size bound; the CLI refuses a candidate of larger rank
 MAX_RANK = 5000
+# and `verify` sweep ranges beyond this (four times it for --lemma-max-p)
+SWEEP_CAP = 25
 # and a `torus --oracle` connecting word of more terms than this: the word has
 # up to |a d| + |b c| terms, however small the rank
 ORACLE_MAX_TERMS = 10**6
@@ -196,9 +198,8 @@ def cmd_sfs(args) -> int:
         pairs = [_parse_pair(f, 2, "--fiber") for f in args.fiber]
         M = make_sfs(pairs)
         rank = character_count(M)
-        if rank > args.max_rank:
-            print(f"error: rank {rank} exceeds --max-rank ({args.max_rank}); "
-                  "raise --max-rank explicitly", file=sys.stderr)
+        if rank > MAX_RANK:
+            print(f"error: rank {rank} exceeds {MAX_RANK}", file=sys.stderr)
             return EXIT_BAD_INPUT
         C = sfs_candidate(M, unit=args.unit)
     except (ValueError, ArithmeticError) as e:
@@ -235,9 +236,6 @@ def cmd_torus(args) -> int:
     except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_BAD_INPUT
-    if not T.supported:
-        print(f"error: {T.unsupported_reason()}", file=sys.stderr)
-        return EXIT_BAD_INPUT
     rank = (T.N + 3) // 2
     if rank > MAX_RANK:
         print(f"error: rank {rank} exceeds {MAX_RANK}", file=sys.stderr)
@@ -273,10 +271,9 @@ def cmd_verify(args) -> int:
         if value < low:
             print(f"error: {flag} must be >= {low}", file=sys.stderr)
             return EXIT_BAD_INPUT
-    if (max(args.max_p, args.max_N, args.max_level) > args.cap
-            or args.lemma_max_p > 4 * args.cap):
-        print(f"error: sweep ranges exceed the cap ({args.cap}); raise --cap explicitly",
-              file=sys.stderr)
+    if (max(args.max_p, args.max_N, args.max_level) > SWEEP_CAP
+            or args.lemma_max_p > 4 * SWEEP_CAP):
+        print(f"error: sweep ranges exceed the cap ({SWEEP_CAP})", file=sys.stderr)
         return EXIT_BAD_INPUT
     if args.jobs < 1:
         print("error: --jobs must be >= 1", file=sys.stderr)
@@ -322,8 +319,6 @@ def build_parser() -> argparse.ArgumentParser:
                      help="surgery pair; give exactly three")
     sfs.add_argument("--unit", choices=["canonical", "reseated"], default="canonical")
     sfs.add_argument("--format", choices=["json", "csv", "pretty"], default="pretty")
-    sfs.add_argument("--max-rank", type=int, default=MAX_RANK,
-                     help="refuse manifolds with more characters than this")
     sfs.set_defaults(func=cmd_sfs)
 
     torus = sub.add_parser("torus", help="torus-bundle monodromy to modular data")
@@ -340,8 +335,6 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--max-N", type=int, default=13)
     verify.add_argument("--max-level", type=int, default=6)
     verify.add_argument("--lemma-max-p", type=int, default=50)
-    verify.add_argument("--cap", type=int, default=25,
-                        help="upper bound on the sweep ranges")
     verify.add_argument("--seed", type=int, default=0)
     verify.add_argument("--jobs", type=int, default=1)
     verify.add_argument("--format", choices=["json", "pretty"], default="pretty")

@@ -200,14 +200,19 @@ def central_reps(M: SeifertData, chars: list[tuple[int, int, int]] | None = None
                  cs_values: list[RationalPhase] | None = None) -> list[CentralRep]:
     """All central representations with their induced label permutations,
     on the characters with degree rows chars (all of them by default) and
-    CS values cs_values (computed by default).
+    CS values cs_values (computed by default).  The CS differences are
+    residues mod lcm(4 p_k) either way, as in the candidate's own actions.
 
     Solves p_k s(x_k) + q_k s(h) = 0, s(x1)+s(x2)+s(x3) = 0 over F_2.
-    Raises if a twist would carry a label outside the candidate set.
+    Raises if a twist would carry a label outside the candidate set, or if
+    a CS value's denominator does not divide lcm(4 p_k).
     """
     J = _degree_rows(M) if chars is None else np.array(chars, dtype=np.int64).reshape(-1, 3)
-    cs = _label_tables(M, J)[:2] if cs_values is None else RationalPhase.residues(cs_values)
-    return _central_reps(M, J, cs)
+    L = math.lcm(*(4 * f.p for f in M.fibers))
+    residues, den = _label_tables(M, J)[:2] if cs_values is None else RationalPhase.residues(cs_values)
+    if L % den:
+        raise ValueError(f"CS values over {den}, which does not divide lcm(4 p_k) = {L}")
+    return _central_reps(M, J, (residues * (L // den), L))
 
 
 def _central_reps(M: SeifertData, J: np.ndarray, cs_values) -> list[CentralRep]:

@@ -1,17 +1,20 @@
 """Torus bundles over the circle with Anosov monodromy.
 
-Handles the family with N = a+d+2 > 4 odd and gcd(c, N) = 1: character
-enumeration, closed-form Chern-Simons and adjoint torsion, and the explicit
-twisted cellular chain complex that feeds the torsion oracle.  The cell
-structure has one 0-cell, three 1-cells (x, y, h), three 2-cells carrying
-the relations y x y^-1 x^-1, h^-1 x h (x^a y^c)^-1, h x^b y^d h^-1 y^-1,
-and one 3-cell.  The boundary maps are Fox derivatives of these relations,
-evaluated directly in the adjoint representation; no group-ring element is
-ever formed.  `build_adjoint_complexes` builds the complexes of many
-characters in one pass, as one stacked BasedChainComplex: each relator
-letter and the connecting word are evaluated once, as numpy stacks over the
-characters, with every sum taken in the same order as for one character, so
-a complex does not depend on the characters it was built with.
+Handles the family with N = a+d+2 > 4 odd and gcd(c, N) = 1, and only that
+family: `make_torus_bundle` refuses the open cases, so every TorusMonodromy
+has c~, m and r.  Character enumeration, closed-form Chern-Simons and
+adjoint torsion, and the explicit twisted cellular chain complex that feeds
+the torsion oracle.  The cell structure has one 0-cell, three 1-cells
+(x, y, h), three 2-cells carrying the relations y x y^-1 x^-1,
+h^-1 x h (x^a y^c)^-1, h x^b y^d h^-1 y^-1, and one 3-cell.  The boundary
+maps are Fox derivatives of these relations, evaluated directly in the
+adjoint representation; no group-ring element is ever formed.
+`build_adjoint_complexes` builds the complexes of many characters in one
+pass, as one stacked BasedChainComplex: the x and y letters and the
+connecting word are evaluated once, as numpy stacks over the characters,
+and one left-to-right walk per relator sums the Fox derivatives, with every
+sum taken in the same order as for one character, so a complex does not
+depend on the characters it was built with.
 """
 
 from __future__ import annotations
@@ -35,37 +38,31 @@ class TorusMonodromy:
     c: int
     d: int
     N: int
-    supported: bool
-    c_tilde: int | None = None
-    m: int | None = None
-    r: int | None = None
+    c_tilde: int
+    m: int
+    r: int
 
     def tag(self) -> str:
         return f"torus({self.a},{self.b},{self.c},{self.d})"
 
-    def unsupported_reason(self) -> str | None:
-        if self.supported:
-            return None
-        if self.N <= 4 or self.N % 2 == 0:
-            return f"N = a+d+2 = {self.N} is not an odd integer > 4 (open case)"
-        return f"gcd(c, N) = {gcd(self.c, self.N)} > 1 (open case)"
-
 
 def make_torus_bundle(a: int, b: int, c: int, d: int) -> TorusMonodromy:
-    """Monodromy data; requires det = 1 and |a+d| > 2 (Anosov)."""
+    """Monodromy data; requires det = 1 and |a+d| > 2 (Anosov), and refuses
+    the open cases: N = a+d+2 even, and gcd(c, N) > 1."""
     if a * d - b * c != 1:
         raise ValueError(f"monodromy determinant is {a * d - b * c}, must be 1")
     if abs(a + d) <= 2:
         raise ValueError(f"|trace| = {abs(a + d)} <= 2: monodromy is not Anosov")
     N = a + d + 2
-    supported = N > 4 and N % 2 == 1 and gcd(c, N) == 1
-    if not supported:
-        return TorusMonodromy(a, b, c, d, N, False)
+    if N <= 4 or N % 2 == 0:
+        raise ValueError(f"N = a+d+2 = {N} is not an odd integer > 4 (open case)")
+    if gcd(c, N) > 1:
+        raise ValueError(f"gcd(c, N) = {gcd(c, N)} > 1 (open case)")
     ctil = pow(c, -1, N)
     m = -2 * ctil - N
     # m odd, coprime to 2N: N odd and c*ctil = 1 force both
     assert m % 2 == 1 and gcd(m, 2 * N) == 1
-    return TorusMonodromy(a, b, c, d, N, True, ctil, m, (N - 1) // 2)
+    return TorusMonodromy(a, b, c, d, N, ctil, m, (N - 1) // 2)
 
 
 @dataclass(frozen=True)
@@ -85,11 +82,6 @@ class TorusCharacter:
         return "rho+" if self.kind == "reducible_plus" else "rho-"
 
 
-def _require_supported(T: TorusMonodromy) -> None:
-    if not T.supported:
-        raise ValueError(f"unsupported monodromy: {T.unsupported_reason()}")
-
-
 def reducible_uv(T: TorusMonodromy) -> tuple[float, float]:
     """u and v^2 for the (0,0) reducible characters, principal square root."""
     tr = T.a + T.d
@@ -101,7 +93,6 @@ def reducible_uv(T: TorusMonodromy) -> tuple[float, float]:
 
 def enumerate_torus_characters(T: TorusMonodromy) -> list[TorusCharacter]:
     """rho+, rho-, then irreducibles rho_1..rho_r."""
-    _require_supported(T)
     u, v2 = reducible_uv(T)
     v = math.sqrt(v2)
     chars = [
@@ -176,6 +167,9 @@ def _sums(terms: np.ndarray) -> np.ndarray:
     return np.cumsum(terms, axis=-1)[..., -1] + 0.0
 
 
+_DIAG = np.arange(3)
+
+
 def _adjoint_evaluator(T: TorusMonodromy, chars: list[TorusCharacter]):
     """(ev, H) over characters listed reducible first.  ev(i, j, c) takes
     int64 arrays of shape (S, L), one sum of L terms per row, and returns
@@ -230,47 +224,24 @@ def _adjoint_evaluator(T: TorusMonodromy, chars: list[TorusCharacter]):
     return ev, H
 
 
-# The three relators y x y^-1 x^-1, h^-1 x h (x^a y^c)^-1 and h x^b y^d h^-1 y^-1,
-# letter by letter: their generators here, their exponents from _exponents.
-# A batch keeps a table of images with a row for the antipoded image of each
-# letter's Fox derivative s_p(g) (row q for letter q), of its power g^p (row
-# 14 + q) and a zero row; the layout below depends only on the generators.
-_RELATORS = ("yxyx", "hxhyx", "hxyhy")
-_LETTERS = "".join(_RELATORS)
-_ZERO_ROW = 2 * len(_LETTERS)
-_XY = [q for q, g in enumerate(_LETTERS) if g != "h"]
-_H = [q for q, g in enumerate(_LETTERS) if g == "h"]
-_XY_ROWS, _H_ROWS = (qs + [len(_LETTERS) + q for q in qs] for qs in (_XY, _H))
-_DIAG = np.arange(3)
-_IS_X = np.array([_LETTERS[q] == "x" for q in _XY] * 2)[:, None]
-# relator r's letter k sits in slot (k, r) of a (_WIDTH, 3) grid; a last
-# row of zero slots pads every relator to the same length
-_WIDTH = max(map(len, _RELATORS)) + 1
-_SLOTS = np.array([[[sum(map(len, _RELATORS[:r])) + k + len(_LETTERS) * power
-                     if k < len(rel) else _ZERO_ROW for r, rel in enumerate(_RELATORS)]
-                    for k in range(_WIDTH)] for power in (0, 1)])
-# D2 block (g, r) sums the products of relator r's g letters in letter
-# order; each term list is padded with the zero product of slot (_WIDTH - 1, 0)
-_BLOCKS = [[3 * k + r for k, h in enumerate(rel) if h == g]
-           for g in "xyh" for r, rel in enumerate(_RELATORS)]
-_BLOCK_TERMS = np.array([b + [3 * (_WIDTH - 1)] * (max(map(len, _BLOCKS)) - len(b))
-                         for b in _BLOCKS]).T
+def _relators(T: TorusMonodromy) -> list[list[tuple[str, int]]]:
+    """The relators y x y^-1 x^-1, h^-1 x h (x^a y^c)^-1 and h x^b y^d h^-1 y^-1,
+    as (generator, exponent) letters."""
+    return [[("y", 1), ("x", 1), ("y", -1), ("x", -1)],
+            [("h", -1), ("x", 1), ("h", 1), ("y", -T.c), ("x", -T.a)],
+            [("h", 1), ("x", T.b), ("y", T.d), ("h", -1), ("y", -1)]]
 
 
-def _exponents(T: TorusMonodromy) -> list[int]:
-    """Exponents of the letters of _RELATORS, in order."""
-    return [1, 1, -1, -1, -1, 1, 1, -T.c, -T.a, 1, T.b, T.d, -1, -1]
-
-
-def _letter_sums(exponents: list[int]) -> tuple[np.ndarray, ...]:
+def _letter_sums(letters: list[tuple[str, int]]) -> tuple[np.ndarray, ...]:
     """(i, j, c) rows for ev, for the x and y letters g^p: row r holds the
     Fox derivative s_p(g) of the r-th letter (terms g^t for t < p, or
-    -g^-(t+1) for t < -p, as in _geometric) and row len(p) + r the power."""
-    p = np.array(exponents, dtype=np.int64)[:, None]
+    -g^-(t+1) for t < -p, as in _geometric) and row len(letters) + r the power."""
+    p = np.array([e for _, e in letters], dtype=np.int64)[:, None]
+    is_x = np.array([g == "x" for g, _ in letters] * 2)[:, None]
     t = np.arange(max(1, int(np.abs(p).max())))
     e = np.concatenate([np.where(p >= 0, t, -1 - t), p * (t == 0)])
     c = np.concatenate([np.sign(p) * (t < abs(p)), np.broadcast_to(t == 0, p.shape[:1] + t.shape)])
-    return np.where(_IS_X, e, 0), np.where(_IS_X, 0, e), c
+    return np.where(is_x, e, 0), np.where(is_x, 0, e), c
 
 
 # A bundle's characters are built in batches of at most this many character
@@ -288,15 +259,10 @@ def build_adjoint_complexes(T: TorusMonodromy, chars: list[TorusCharacter]) -> B
     characters, and every product is the one a single character would take,
     so each complex is bit-equal to the one built alone.
     """
-    _require_supported(T)
     w = connecting_word(T)
-    exps = _exponents(T)
-    letter_sums = _letter_sums([exps[q] for q in _XY])
-    # each h sum has one term, as every h exponent is +-1: coefficient c
-    # times the antipoded image of h^e
-    h_terms = [_geometric(exps[q])[0] for q in _H] + [(exps[q], 1) for q in _H]
-    h_powers = [e + 1 for e, _ in h_terms]
-    h_coeffs = np.array([c for _, c in h_terms])[:, None, None, None]
+    relators = _relators(T)
+    xy = [(g, p) for rel in relators for g, p in rel if g != "h"]
+    letter_sums = _letter_sums(xy)
     ij = np.fromiter(chain.from_iterable(w), np.int64, 2 * len(w)).reshape(1, -1, 2)
     word = ij[..., 0], ij[..., 1], np.fromiter(w.values(), np.int64, len(w)).reshape(1, -1)
     I = np.eye(3, dtype=complex)
@@ -306,23 +272,24 @@ def build_adjoint_complexes(T: TorusMonodromy, chars: list[TorusCharacter]) -> B
         n = len(batch)
         ev, H = _adjoint_evaluator(T, batch)
         H_inv = H[2]
-        table = np.zeros((_ZERO_ROW + 1, n, 3, 3), dtype=complex)
-        table[_XY_ROWS] = ev(*letter_sums)
-        table[_H_ROWS] = 0.0 + h_coeffs * H[h_powers]   # a sum of one term, from 0
+        images = ev(*letter_sums)
+        # the x and y letters' (s_p(g), g^p) images in relator order, and the
+        # h letters' by exponent: s_p(h) is one term, a coefficient times the
+        # antipoded image of h^e, summed from 0
+        xy_images = iter(zip(images[:len(xy)], images[len(xy):]))
+        h_images = {p: (0.0 + c * H[e + 1], H[p + 1]) for p in (-1, 1) for e, c in _geometric(p)}
         # one left-to-right pass per relator yields all three Fox derivatives:
-        # the letter g^p adds prefix * s_p(g) to d/dg, evaluated right to left;
-        # slot axis first, so that each step multiplies contiguous stacks
-        G, P = table[_SLOTS[0]], table[_SLOTS[1]]
-        prefix = np.empty_like(G)
-        prefix[0] = I
-        for k in range(1, _WIDTH):
-            np.matmul(P[k - 1], prefix[k - 1], out=prefix[k])
-        products = (G @ prefix).reshape(-1, n, 3, 3)
-        D2 = np.zeros((9, n, 3, 3), dtype=complex)
-        for terms in _BLOCK_TERMS:
-            D2 = D2 + products[terms]
-        D2 = D2.reshape(3, 3, n, 3, 3).transpose(2, 0, 3, 1, 4).reshape(n, 9, 9)
-        X, Y = table[len(_LETTERS) + 1], table[len(_LETTERS)]   # the powers x^1 and y^1
+        # the letter g^p adds prefix * s_p(g) to d/dg, evaluated right to left
+        D2 = np.zeros((3, 3, n, 3, 3), dtype=complex)   # block (d/dg, relator)
+        for col, rel in enumerate(relators):
+            prefix = I
+            for k, (g, p) in enumerate(rel):
+                fox, power = h_images[p] if g == "h" else next(xy_images)
+                D2["xyh".index(g), col] += fox @ prefix
+                if k < len(rel) - 1:
+                    prefix = power @ prefix
+        D2 = D2.transpose(2, 0, 3, 1, 4).reshape(n, 9, 9)
+        Y, X = images[len(xy)], images[len(xy) + 1]   # relator 0 starts y^1 x^1
         D1 = np.concatenate([X - I, Y - I, H_inv - I], axis=2)
         D3 = np.concatenate([I - ev(*word)[0] @ H_inv, H_inv @ (I - Y), I - X], axis=1)
         return D3, D2, D1
@@ -351,7 +318,6 @@ def central_reps(T: TorusMonodromy) -> list[CentralRep]:
     The kernel is generated by the sign rep on h, which exchanges the two
     reducible characters and fixes every irreducible one.
     """
-    _require_supported(T)
     cs = _cs_residues(T)
 
     def permute(sigma):

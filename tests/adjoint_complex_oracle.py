@@ -16,7 +16,6 @@ from mtcforge.torus_bundle import (
     TorusCharacter,
     TorusMonodromy,
     _geometric,
-    _require_supported,
     connecting_word,
 )
 
@@ -64,7 +63,6 @@ def build_adjoint_complex(T: TorusMonodromy, chi: TorusCharacter,
     sum to 1, and a choice that breaks d.d = 0 is rejected when the complex
     is assembled.
     """
-    _require_supported(T)
     if w is None:
         w = connecting_word(T)
     else:

@@ -46,10 +46,11 @@ REFUSED = [
     ["sfs", "--fiber", "5,1", "--fiber", "3,2"],
     ["sfs", "--fiber", "4,2", "--fiber", "3,1", "--fiber", "3,1"],
     ["sfs", "--fiber", "5,1", "--fiber", "3,2", "--fiber", "5", "--format", "csv"],
-    ["sfs", "--fiber", "6,1", "--fiber", "7,3", "--fiber", "18,5", "--max-rank", "128"],
+    ["sfs", "--fiber", "2001,1", "--fiber", "2003,1", "--fiber", "2005,1"],
     ["sfs", "--fiber", "5,1", "--fiber", "3,2", "--fiber", "5,4", "--unit", "reseated"],
     ["torus", "--monodromy", "3,1,1,0"],
     ["torus", "--monodromy", "3,1,2,1"],
+    ["torus", "--monodromy", "2,3,3,5"],
     ["torus", "--monodromy", "2,1,9,5"],
     ["torus", "--monodromy", "2,1,1"],
     ["torus", "--monodromy=2,1,1,1", "--oracle", "--format", "csv"],

@@ -1,3 +1,4 @@
+import argparse
 import csv
 import dataclasses
 import functools
@@ -117,12 +118,17 @@ class TestSfsCommand:
         code, out, err = run_cli(["sfs", "--fiber", "2001,1", "--fiber", "2003,1",
                                   "--fiber", "2005,1"])
         assert code == 2 and out == ""
-        assert "rank 2006004000" in err and "--max-rank (5000)" in err
+        assert "rank 2006004000" in err and "exceeds 5000" in err
 
-    def test_rank_budget_flag(self):
-        argv = ["sfs", "--fiber", "3,1", "--fiber", "3,1", "--fiber", "4,1", "--max-rank"]
-        assert run_cli(argv + ["2"])[0] == 2
-        assert run_cli(argv + ["3"])[0] == 0
+    def test_rank_budget_flag(self, monkeypatch):
+        # the bound is a constant, not a flag, shared by sfs and torus; its
+        # edge is checked by moving it.  A torus rank is (N + 3) / 2 >= 4
+        for argv, rank in [(["sfs", "--fiber", "3,1", "--fiber", "3,1", "--fiber", "4,1"], 3),
+                           (["torus", "--monodromy", "2,1,1,1"], 4)]:
+            monkeypatch.setattr(cli, "MAX_RANK", rank - 1)
+            assert run_cli(argv) == (2, "", f"error: rank {rank} exceeds {rank - 1}\n")
+            monkeypatch.setattr(cli, "MAX_RANK", rank)
+            assert run_cli(argv)[0] == 0
 
     def test_fiber_count_enforced(self):
         code, _, err = run_cli(["sfs", "--fiber", "3,1", "--fiber", "3,1"])
@@ -268,8 +274,9 @@ class TestTorusCommand:
         assert code == 2 and "determinant" in err
 
     def test_open_case_named(self):
-        code, _, err = run_cli(["torus", "--monodromy", "3,1,2,1"])
-        assert code == 2 and "open case" in err
+        for mono, message in [("3,1,2,1", "N = a+d+2 = 6 is not an odd integer > 4 (open case)"),
+                              ("2,3,3,5", "gcd(c, N) = 3 > 1 (open case)")]:
+            assert run_cli(["torus", "--monodromy", mono]) == (2, "", f"error: {message}\n")
 
     def test_malformed_input(self):
         code, _, err = run_cli(["torus", "--monodromy", "2,1,1"])
@@ -360,7 +367,7 @@ class TestVerifyCommand:
 
     def test_sweep_cap_enforced(self):
         code, _, err = run_cli(["verify", "--suite", "sfs-tlj", "--max-p", "40"])
-        assert code == 2 and "cap" in err
+        assert code == 2 and err == "error: sweep ranges exceed the cap (25)\n"
 
     def test_level_cap_enforced(self):
         # su2-parity squares the level range, so --max-level is capped too
@@ -492,6 +499,24 @@ class TestVerifyCommand:
         torus = suites.torus_records(suites.supported_monodromies(9))
         assert seen == {"sfs-tlj": (records, None), "torus-son2": (None, torus),
                         "verlinde": (None, None)}
+
+
+def _options(parser: argparse.ArgumentParser) -> set[str]:
+    return {o for action in parser._actions for o in action.option_strings}
+
+
+def test_cli_surface():
+    """The option strings of each command, as the parser builds them.  A new
+    flag edits this test, and argues for itself; in particular, no flag lifts
+    the rank bound or the sweep cap."""
+    sub = next(a for a in cli.build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    assert {name: _options(parser) for name, parser in sub.choices.items()} == {
+        "sfs": {"-h", "--help", "--fiber", "--unit", "--format"},
+        "torus": {"-h", "--help", "--monodromy", "--oracle", "--format"},
+        "verify": {"-h", "--help", "--suite", "--max-p", "--max-N", "--max-level",
+                   "--lemma-max-p", "--seed", "--jobs", "--format"},
+    }
 
 
 class TestParserReuse:

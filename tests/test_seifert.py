@@ -385,9 +385,8 @@ class TestCentralReps:
                                        [(5, 1), (3, 2), (5, 4)]])
     def test_given_labels_match_candidate_actions(self, pairs):
         # the benchmark times central_reps on the candidate's degree rows and
-        # CS phases; it must compute the candidate's own actions.  The phases
-        # come back over the lcm of their reduced denominators, which divides
-        # the candidate's lcm(4 p_k): the residues agree once rescaled
+        # CS phases; it must compute the candidate's own actions, over the
+        # candidate's denominator lcm(4 p_k)
         M = make_sfs(pairs)
         C = sfs_candidate(M)
         reps = central_reps(M, list(C.characters), list(C.cs))
@@ -397,8 +396,15 @@ class TestCentralReps:
             assert got.sigma == want.sigma
             assert got.permutation.dtype == np.int64
             assert np.array_equal(got.permutation, want.permutation)
-            assert want.cs_den % got.cs_den == 0
-            assert np.array_equal(got.cs_diffs * (want.cs_den // got.cs_den), want.cs_diffs)
+            assert got.cs_den == want.cs_den
+            assert got.cs_diffs.dtype == np.int64
+            assert np.array_equal(got.cs_diffs, want.cs_diffs)
+
+    def test_phase_off_the_candidate_denominator_raises(self):
+        M = make_sfs([(3, 1), (3, 1), (3, 2)])   # lcm(4 p_k) = 12
+        C = sfs_candidate(M)
+        with pytest.raises(ValueError, match="over 24, which does not divide lcm"):
+            central_reps(M, C.characters, list(C.cs[:-1]) + [RationalPhase(1, 24)])
 
     def test_action_stays_in_label_set(self):
         for M in small_sweep(6):

@@ -34,7 +34,6 @@ class TestMonodromy:
     def test_basic_example(self):
         T = make_torus_bundle(2, 1, 1, 1)
         assert (T.N, T.c_tilde, T.m, T.r) == (5, 1, -7, 2)
-        assert T.supported
 
     def test_inverse_by_inspection(self):
         T = make_torus_bundle(4, 1, 3, 1)
@@ -49,12 +48,13 @@ class TestMonodromy:
             make_torus_bundle(1, 1, -1, 0)
 
     def test_unsupported_cases_flagged(self):
-        even = make_torus_bundle(3, 1, 2, 1)  # N = 6
-        assert not even.supported and "odd" in even.unsupported_reason()
-        shared = make_torus_bundle(2, 3, 3, 5)  # N = 9, gcd(c, N) = 3
-        assert not shared.supported and "gcd" in shared.unsupported_reason()
-        with pytest.raises(ValueError, match="open case"):
-            enumerate_torus_characters(even)
+        # a monodromy exists only inside the supported family
+        with pytest.raises(ValueError) as even:
+            make_torus_bundle(3, 1, 2, 1)
+        assert str(even.value) == "N = a+d+2 = 6 is not an odd integer > 4 (open case)"
+        with pytest.raises(ValueError) as shared:
+            make_torus_bundle(2, 3, 3, 5)
+        assert str(shared.value) == "gcd(c, N) = 3 > 1 (open case)"
 
     def test_m_odd_and_coprime(self):
         for T in supported_examples():
@@ -255,8 +255,6 @@ class TestBatchedComplexes:
         stack = build_adjoint_complexes(T, chars)
         assert all(same_bits(stack[q], want) for q, want in enumerate(alone))
         assert build_adjoint_complexes(T, []).boundaries[0].shape == (0, 9, 3)
-        with pytest.raises(ValueError, match="open case"):
-            build_adjoint_complexes(make_torus_bundle(3, 1, 2, 1), [])
 
     def test_zero_exponent_and_long_letters(self):
         # a = 0 gives an empty Fox derivative x^0; a = 100 a 100-term letter
